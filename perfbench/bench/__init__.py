@@ -1,0 +1,1 @@
+"""Support modules of the repository benchmark (see ``perfbench/README.md``)."""
