@@ -3,10 +3,14 @@
 Not a paper figure — this pins the headline property of the
 ``repro.sim.kernels`` backend: on a million-branch trace the vectorized
 path must be **bit-identical** to the interpreted loop and at least 5x
-faster for the flagship schemes (GAg and the direct-mapped PAg). The
-measured speedups land in ``benchmark.extra_info`` and, through the
-session hook in ``conftest.py``, in the persistent run ledger, so
-``repro-obs export-bench`` snapshots them into ``BENCH_*.json``.
+faster for the flagship schemes (GAg and the direct-mapped PAg). A
+second pin covers the paper's flagship first level, a 512-entry 4-way
+LRU BHT, on gcc without context switches: every set's LRU epoch spans
+the whole trace and is contended, the case where the kernel once lost
+to the interpreter. The measured speedups land in
+``benchmark.extra_info`` and, through the session hook in
+``conftest.py``, in the persistent run ledger, so ``repro-obs
+export-bench`` snapshots them into ``BENCH_*.json``.
 """
 
 import random
@@ -16,7 +20,9 @@ import pytest
 
 from repro.predictors.registry import make_predictor
 from repro.sim import simulate, simulate_vectorized
-from repro.trace.events import TraceBuilder
+from repro.trace.cache import default_cache
+from repro.trace.events import Trace, TraceBuilder
+from repro.workloads.suite import SuiteConfig, build_cases
 
 N_BRANCHES = 1_000_000
 N_SITES = 800
@@ -82,6 +88,54 @@ def test_bench_kernel_speedup(benchmark, million_trace, label):
     # The ledger records the vectorized wall time as the measurement.
     benchmark.pedantic(
         lambda: simulate_vectorized(make_predictor(name), million_trace),
+        rounds=1,
+        iterations=1,
+    )
+
+
+def test_bench_contended_lru_kernel_beats_interpreter(benchmark):
+    """gcc ``pag-12-512x4`` without context switches, memo cold.
+
+    Set-associative residency is memoized on the trace's arrays, so
+    each timed run gets a fresh :class:`Trace` (arrays converted up
+    front, residency not yet computed): the kernel pays its full LRU
+    pass every time, exactly as the first cell of a sweep does.
+    """
+    (case,) = build_cases(SuiteConfig(benchmarks=["gcc"]), cache=default_cache())
+    base = case.test_trace
+    name = "pag-12-512x4"
+
+    def fresh() -> Trace:
+        trace = Trace(base.meta, *base.columns)
+        trace.as_arrays()
+        return trace
+
+    started = time.perf_counter()
+    reference = simulate(make_predictor(name), base, backend="python")
+    python_s = time.perf_counter() - started
+
+    vectorized_s = []
+    fast = None
+    for _ in range(3):
+        trace = fresh()
+        t0 = time.perf_counter()
+        fast = simulate_vectorized(make_predictor(name), trace)
+        vectorized_s.append(time.perf_counter() - t0)
+
+    assert fast == reference  # bit-identical, counts and all
+    speedup = python_s / min(vectorized_s)
+    benchmark.extra_info["branches"] = reference.conditional_branches
+    benchmark.extra_info["python_s"] = round(python_s, 3)
+    benchmark.extra_info["vectorized_s"] = round(min(vectorized_s), 3)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["backend"] = "vectorized"
+    assert speedup > 1.0, (
+        f"gcc {name}: vectorized backend slower than the interpreter "
+        f"(python {python_s:.2f}s, vectorized {min(vectorized_s):.2f}s)"
+    )
+    trace = fresh()
+    benchmark.pedantic(
+        lambda: simulate_vectorized(make_predictor(name), trace),
         rounds=1,
         iterations=1,
     )

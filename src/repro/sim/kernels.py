@@ -35,9 +35,11 @@ How a two-level scheme is vectorized
    per-record output is needed.
 
 Set-associative BHTs (the paper's 4-way tables) are modelled exactly:
-an event-compressed, set-parallel LRU pass (:func:`_assoc_layout`)
-replays each set's way array — first-invalid-way allocation, true-LRU
-victim choice, flush invalidation that keeps stale tags — and emits the
+an event-compressed LRU stack-distance pass (:func:`_lru_metadata`)
+derives every access's miss, eviction and way — first-invalid-way
+allocation, true-LRU victim choice, flush invalidation that keeps stale
+tags — memoized per (trace, geometry, context-switch model) by
+:func:`_bht_residency`, and :func:`_assoc_layout` turns it into the
 same (episode, slot, evict) layout the direct-mapped path derives in
 closed form. Hybrid and per-set schemes compose the existing machinery:
 gselect concatenates address bits into the global-history key, SAg/SAs
@@ -388,7 +390,7 @@ class _Run:
     __slots__ = ("arrays", "n_c", "out_bool", "out_u8", "seg_c", "switches",
                  "aggregate", "warmup", "track_per_site", "_pc_c",
                  "fires_base", "fires_end", "last_epoch", "head_fires",
-                 "tail_fires")
+                 "tail_fires", "segmentation_key")
 
     def __init__(self, trace: Trace, context_switches: Optional[ContextSwitchConfig],
                  track_per_site: bool, warmup_branches: int, *,
@@ -404,6 +406,11 @@ class _Run:
         self.aggregate = self.warmup == 0 and not self.track_per_site
         self._pc_c = None
         self.fires_base = int(fires_base)
+        # Everything ``seg_c`` depends on besides the trace itself: the
+        # key under which segmentation-derived products are memoized.
+        cs_part = None if context_switches is None else (
+            context_switches.interval, context_switches.switch_on_traps)
+        self.segmentation_key = (cs_part, prev_epoch, self.fires_base)
         if context_switches is None or len(arrays) == 0:
             self.switches = 0
             self.seg_c = np.full(self.n_c, self.fires_base, dtype=np.int64)
@@ -635,39 +642,40 @@ def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
     invalidates every way, allocations claim invalid ways by index
     before consulting recency, and hits require validity, so neither
     the retained tags nor the pre-flush recency can ever influence a
-    later epoch.
+    later epoch. Each epoch therefore behaves as a fully associative
+    true-LRU stack of depth ``associativity`` that starts empty.
 
     Within an epoch that touches at most ``associativity`` distinct
     branches nothing is ever displaced: every first touch allocates the
     next invalid way (fill order), every later touch hits, and
     ``evict`` never fires. That is the common case for the paper's
-    geometries (hundreds of sets, a handful of resident branches each)
-    and is computed with pure array passes below. Only epochs with more
-    distinct branches than ways — where true LRU replacement decides —
-    take the event-serial round loop, restricted to exactly those
-    epochs: round ``r`` processes the ``r``-th event of every still-live
-    contended epoch at once with 2-D way arrays.
+    geometries with context switches (hundreds of sets, a handful of
+    resident branches each) and is computed with pure array passes
+    below. Epochs with more distinct branches than ways — *contended*
+    epochs, where LRU replacement decides — are resolved all at once by
+    :func:`_contended_lru`, an array form of Mattson et al.'s LRU stack
+    distance (IBM Sys. J. 1970):
+
+    * **Stack-distance rule.** A touch whose tag was last touched at
+      event ``p`` of the same epoch hits iff fewer than
+      ``associativity`` distinct tags were touched strictly between
+      ``p`` and it; a first touch in the epoch always misses.
+    * **Victim rule.** A miss evicts iff the epoch has already seen at
+      least ``associativity`` distinct tags (every way is then valid).
+      The victim is the least recent resident: the tag whose last touch
+      is the ``associativity``-th most recent among the distinct tags
+      touched before the miss.
+    * **Ways.** The ``d``-th distinct tag of an epoch fills way ``d``
+      while ``d < associativity``; a hit stays in its previous touch's
+      way, and an evicting miss takes over its victim's way.
+
+    The result is a pure function of the trace, the geometry and the
+    run's flush segmentation; :func:`_bht_residency` memoizes it on the
+    trace's arrays so every consumer of one key shares a single pass.
     """
-    n = run.n_c
     assoc = bht.associativity
-    set_s = (run.pc_c % bht.num_sets)[order1]
-    tag_s = (run.pc_c // bht.num_sets)[order1]
-    seg_s = run.seg_c[order1]
-
-    set_chg = np.empty(n, dtype=np.bool_)
-    set_chg[0] = True
-    set_chg[1:] = set_s[1:] != set_s[:-1]
-    ev_new = set_chg.copy()
-    ev_new[1:] |= (tag_s[1:] != tag_s[:-1]) | (seg_s[1:] != seg_s[:-1])
-    ev_first = np.flatnonzero(ev_new)
-    n_ev = ev_first.shape[0]
-    ev_tag = tag_s[ev_first]
-    ev_seg = seg_s[ev_first]
-
-    # Epoch boundaries: a new set, or a segment change within the set.
-    ep_new = set_chg[ev_first].copy()
-    ep_new[0] = True
-    ep_new[1:] |= ev_seg[1:] != ev_seg[:-1]
+    ev_new, ev_tag, ep_new = _lru_events(run, bht, order1)
+    n_ev = ev_tag.shape[0]
     ep_id = np.cumsum(ep_new, dtype=np.int64) - 1
     n_ep = int(ep_id[-1]) + 1
 
@@ -683,68 +691,244 @@ def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
     gnew[0] = True
     gnew[1:] = (g_ep[1:] != g_ep[:-1]) | (g_tag[1:] != g_tag[:-1])
     is_first = np.zeros(n_ev, dtype=np.bool_)
-    first_idx = gorder[gnew]
-    is_first[first_idx] = True
+    is_first[gorder[gnew]] = True
 
     ev_miss = is_first.copy()
     ev_evict = np.zeros(n_ev, dtype=np.bool_)
-    # Fill order: the d-th distinct branch of an epoch lands in way d.
+    # Fill order: the d-th distinct branch of an epoch lands in way d,
+    # and every later touch of the group stays there.
     touched = np.cumsum(is_first)  # inclusive count of first touches
-    ep_start_ev = _start_indices(ep_new)
-    fill = touched - touched[ep_start_ev]  # epoch starts are first touches
-    grp_id_g = np.cumsum(gnew, dtype=np.int64) - 1
-    grp_id = np.empty(n_ev, dtype=np.int64)
-    grp_id[gorder] = grp_id_g
-    grp_way = np.empty(int(grp_id_g[-1]) + 1, dtype=np.int64)
-    grp_way[grp_id[first_idx]] = fill[first_idx]
-    ev_way = grp_way[grp_id]
+    fill = touched - touched[_start_indices(ep_new)]  # epoch starts are first touches
+    g_fill = fill[gorder]
+    ev_way = np.empty(n_ev, dtype=np.int64)
+    ev_way[gorder] = g_fill[_start_indices(gnew)]
 
     distinct = np.bincount(ep_id[is_first], minlength=n_ep)
     contended = distinct > assoc
     if np.any(contended):
-        ep_first = np.flatnonzero(ep_new)
-        ep_end = np.empty(n_ep, dtype=np.int64)
-        ep_end[:-1] = ep_first[1:]
-        ep_end[-1] = n_ev
-        c_start = ep_first[contended]
-        c_end = ep_end[contended]
-        n_live = c_start.shape[0]
-
-        way_tag = np.full((n_live, assoc), -1, dtype=np.int64)
-        way_rec = np.full((n_live, assoc), -1, dtype=np.int64)
-        way_valid = np.zeros((n_live, assoc), dtype=np.bool_)
-
-        far = np.iinfo(np.int64).max
-        cursor = c_start.copy()
-        alive = np.arange(n_live, dtype=np.int64)
-        while alive.size:
-            e = cursor[alive]
-            valid = way_valid[alive]
-            hits = valid & (way_tag[alive] == ev_tag[e, None])
-            hit = hits.any(axis=1)
-            invalid_any = ~valid.all(axis=1)
-            lru = np.argmin(np.where(valid, way_rec[alive], far), axis=1)
-            way = np.where(
-                hit, np.argmax(hits, axis=1),
-                np.where(invalid_any, np.argmax(~valid, axis=1), lru),
-            )
-            ev_miss[e] = miss = ~hit
-            ev_evict[e] = miss & ~invalid_any
-            ev_way[e] = way
-            way_tag[alive, way] = ev_tag[e]
-            way_rec[alive, way] = e  # event index: monotone in time per set
-            way_valid[alive, way] = True
-            cursor[alive] += 1
-            alive = alive[cursor[alive] < c_end[alive]]
+        in_c = contended[ep_id]
+        ep_len = np.diff(np.append(np.flatnonzero(ep_new), n_ev))[contended]
+        ev_miss[in_c], ev_evict[in_c], ev_way[in_c] = _contended_epochs(
+            in_c, contended[g_ep], gorder, gnew, fill[in_c], ep_len, assoc
+        )
 
     # Expand events back to records: miss/evict fire only on an event's
     # first record; every record inherits its event's way.
-    miss_r = np.zeros(n, dtype=np.bool_)
-    evict_r = np.zeros(n, dtype=np.bool_)
+    ev_first = np.flatnonzero(ev_new)
+    miss_r = np.zeros(run.n_c, dtype=np.bool_)
+    evict_r = np.zeros(run.n_c, dtype=np.bool_)
     miss_r[ev_first] = ev_miss
     evict_r[ev_first] = ev_evict
     way_r = ev_way[np.cumsum(ev_new) - 1]
     return miss_r, evict_r, way_r
+
+
+def _lru_events(run: _Run, bht: CacheBHT, order1: np.ndarray):
+    """Collapse the (set, time)-sorted records into LRU events.
+
+    Returns ``ev_new`` (per sorted record: it opens an event), and per
+    event its tag and ``ep_new`` (it opens an epoch: a new set, or a
+    segment change within the set).
+    """
+    n = run.n_c
+    set_s = (run.pc_c % bht.num_sets)[order1]
+    tag_s = (run.pc_c // bht.num_sets)[order1]
+    seg_s = run.seg_c[order1]
+
+    set_chg = np.empty(n, dtype=np.bool_)
+    set_chg[0] = True
+    set_chg[1:] = set_s[1:] != set_s[:-1]
+    ev_new = set_chg.copy()
+    ev_new[1:] |= (tag_s[1:] != tag_s[:-1]) | (seg_s[1:] != seg_s[:-1])
+    ev_first = np.flatnonzero(ev_new)
+    ev_seg = seg_s[ev_first]
+    ep_new = set_chg[ev_first]
+    ep_new[1:] |= ev_seg[1:] != ev_seg[:-1]
+    return ev_new, tag_s[ev_first], ep_new
+
+
+#: Contended events per :func:`_contended_lru` call. Its range tables
+#: take 4 bytes per event per level, so batching whole epochs keeps the
+#: transient memory at a few MiB however long the trace is.
+_LRU_BATCH_EVENTS = 1 << 16
+
+
+def _contended_epochs(in_c, keep, gorder, gnew, fill, ep_len, assoc: int):
+    """``(miss, evict, way)`` for the events of the contended epochs.
+
+    ``in_c`` marks those events, ``keep`` the same events in the
+    (epoch, tag, time) group order ``gorder`` / ``gnew``; ``fill`` and
+    ``ep_len`` are their fill counts and their epochs' event counts.
+    Contended epochs are whole runs of events, so compacting them keeps
+    every epoch contiguous and in time order, and the group order
+    restricted to them links each touch to the previous and next touch
+    of its tag within the epoch.
+    """
+    n_c_ev = int(ep_len.sum())
+    cpos = np.cumsum(in_c, dtype=np.int32) - np.int32(1)
+    linked = cpos[gorder[keep]]
+    link = ~gnew[keep][1:]
+    prev = np.full(n_c_ev, -1, dtype=np.int32)
+    prev[linked[1:][link]] = linked[:-1][link]
+    nxt = np.full(n_c_ev, n_c_ev, dtype=np.int32)
+    nxt[linked[:-1][link]] = linked[1:][link]
+    miss = np.empty(n_c_ev, dtype=np.bool_)
+    evict = np.empty(n_c_ev, dtype=np.bool_)
+    way = np.empty(n_c_ev, dtype=np.int64)
+    for lo, hi, longest in _epoch_batches(ep_len, _LRU_BATCH_EVENTS):
+        # Links never leave their epoch, so a batch of whole epochs
+        # rebases them by its offset; "no previous touch" stays
+        # negative and "no next touch" stays past the batch's end.
+        base = np.int32(lo)
+        miss[lo:hi], evict[lo:hi], way[lo:hi] = _contended_lru(
+            prev[lo:hi] - base, nxt[lo:hi] - base, fill[lo:hi], assoc, longest
+        )
+    return miss, evict, way
+
+
+def _epoch_batches(lengths: np.ndarray, budget: int):
+    """``(lo, hi, longest)`` runs of consecutive whole epochs (given
+    their event counts) holding at most ``budget`` events each, or a
+    single epoch when one alone exceeds it."""
+    ends = np.cumsum(lengths)
+    lo = first = 0
+    while first < lengths.shape[0]:
+        last = max(int(np.searchsorted(ends, lo + budget, side="right")), first + 1)
+        hi = int(ends[last - 1])
+        yield lo, hi, int(lengths[first:last].max())
+        lo, first = hi, last
+
+
+def _sparse_table(values: np.ndarray, levels: int, combine) -> list:
+    """``table[j][i]`` = ``combine`` over ``values[i : i + 2**j]``
+    (truncated at the end of the array), for ``j < levels``."""
+    table = [values]
+    for j in range(1, levels):
+        below = table[-1]
+        half = 1 << (j - 1)
+        level = below.copy()
+        combine(below[:-half], below[half:], out=level[:-half])
+        table.append(level)
+    return table
+
+
+def _seek_forward(min_table: list, pos: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """For each lane, the first index ``>= pos`` whose value is
+    ``<= bound``, by binary lifting over a range-min table. Exact when
+    the answer lies within ``2**levels - 1`` of ``pos``."""
+    size = min_table[0].shape[0]
+    for j in range(len(min_table) - 1, -1, -1):
+        skip = (pos < size) & (min_table[j][np.minimum(pos, size - 1)] > bound)
+        pos = pos + (skip.astype(pos.dtype) << j)
+    return pos
+
+
+def _seek_backward(max_table: list, pos: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """For each lane, the last index ``<= pos`` whose value is
+    ``>= bound``, by binary lifting over a range-max table. Exact when
+    the answer exists within ``2**levels - 1`` below ``pos``."""
+    for j in range(len(max_table) - 1, -1, -1):
+        low = pos - (1 << j) + 1
+        skip = (low >= 0) & (max_table[j][np.maximum(low, 0)] < bound)
+        pos = pos - (skip.astype(pos.dtype) << j)
+    return pos
+
+
+def _contended_lru(prev: np.ndarray, nxt: np.ndarray, fill: np.ndarray,
+                   assoc: int, longest: int):
+    """``(miss, evict, way)`` per event of the contended epochs.
+
+    ``prev`` / ``nxt`` hold, per event, the index of the previous / next
+    touch of the same tag in its epoch (negative / at least
+    ``len(prev)`` when there is none), ``fill`` the number of distinct tags other than its
+    own the epoch touched before the event, and ``longest`` the longest
+    epoch in events, which bounds every search below.
+
+    Distinct tags strictly between a touch ``t`` and its previous touch
+    ``p`` are the positions ``q`` in ``(p, t)`` with ``prev[q] <= p``
+    (each tag's first touch in the window). ``t`` itself and ``p + 1``
+    always qualify, so ``t`` hits iff the ``assoc``-th qualifying
+    position after ``p`` is ``t`` — ``assoc - 1`` forward searches from
+    ``p + 1``. Symmetrically, the tags resident just before an evicting
+    miss ``t`` are the last touches ``q < t`` with ``nxt[q] >= t``;
+    ``t - 1`` always qualifies, and the victim is the ``assoc``-th of
+    them counting back — ``assoc - 1`` backward searches.
+    """
+    size = prev.shape[0]
+    levels = max(int(longest - 1).bit_length(), 1)
+    event = np.arange(size, dtype=np.int64)
+    miss = prev < 0
+    # Fewer than assoc events between two touches cannot hold assoc
+    # distinct tags: only wider gaps need the search.
+    has_prev = np.flatnonzero(~miss)
+    gap = has_prev - prev[has_prev] - 1
+    lane = has_prev[gap >= assoc]
+    if lane.size:
+        bound = prev[lane].astype(np.int64)
+        pos = bound + 1
+        min_table = _sparse_table(prev, levels, np.minimum)
+        for _ in range(assoc - 1):
+            pos = _seek_forward(min_table, pos + 1, bound)
+            open_ = pos < lane
+            lane, bound, pos = lane[open_], bound[open_], pos[open_]
+            if not lane.size:
+                break
+        del min_table
+        miss[lane] = True
+    evict = miss & (fill >= assoc)
+
+    source = event.copy()
+    hit = ~miss
+    source[hit] = prev[hit]
+    victims = np.flatnonzero(evict)
+    if victims.size:
+        max_table = _sparse_table(nxt, levels, np.maximum)
+        pos = victims - 1
+        for _ in range(assoc - 1):
+            pos = _seek_backward(max_table, pos - 1, victims)
+        del max_table
+        source[victims] = pos
+    # Every chain of (hit -> previous touch, eviction -> victim touch)
+    # ends at one of the epoch's first assoc fills; pointer jumping
+    # finds it in a logarithmic number of passes.
+    open_ = np.flatnonzero(source != event)
+    while open_.size:
+        source[open_] = source[source[open_]]
+        open_ = open_[source[source[open_]] != source[open_]]
+    return miss, evict, fill[source]
+
+
+def _bht_residency(run: _Run, bht: CacheBHT):
+    """:func:`_lru_metadata` for ``run`` in conditional-record order,
+    memoized on the trace.
+
+    Residency is a pure function of the trace, the BHT geometry and the
+    run's flush segmentation (context-switch model plus the streaming
+    ``prev_epoch`` / ``fires_base`` offsets), so every PAg, PSg, PAp
+    and BTB cell over one key shares a single LRU pass. The memo packs
+    each conditional record into one byte (for up to 64 ways): the way
+    in the low bits, then a miss bit and an evict bit. The (set, time)
+    radix sort the pass runs on is cheap and is not kept.
+
+    Returns ``(packed, width)``: the read-only packed array and the
+    number of way bits below the miss bit.
+    """
+    assoc = bht.associativity
+    width = (assoc - 1).bit_length()
+    key = ("bht-residency", bht.num_sets, assoc) + run.segmentation_key
+
+    def build() -> np.ndarray:
+        order1 = _stable_argsort(run.pc_c % bht.num_sets)
+        miss, evict, way = _lru_metadata(run, bht, order1)
+        dtype = np.min_scalar_type((1 << (width + 2)) - 1)
+        packed_s = way.astype(dtype)
+        packed_s |= miss.astype(dtype) << dtype.type(width)
+        packed_s |= evict.astype(dtype) << dtype.type(width + 1)
+        packed = np.empty_like(packed_s)
+        packed[order1] = packed_s
+        return packed
+
+    return run.arrays.derived(key, build), width
 
 
 def _assoc_layout(run: _Run, bht: CacheBHT) -> _Layout:
@@ -756,16 +940,18 @@ def _assoc_layout(run: _Run, bht: CacheBHT) -> _Layout:
     post-flush access misses, so miss marks subsume flush boundaries).
     """
     n = run.n_c
-    order1 = _stable_argsort(run.pc_c % bht.num_sets)
-    miss_r, evict_r, way_r = _lru_metadata(run, bht, order1)
-    # A stable way-sort of the (set, time)-ordered records yields
-    # (set, way, time) == (slot, time) order.
-    order2 = _stable_argsort(way_r)
-    order = order1[order2]
+    packed, width = _bht_residency(run, bht)
+    dtype = np.min_scalar_type(bht.num_entries - 1)
+    slot = (run.pc_c % bht.num_sets).astype(dtype)
+    slot *= dtype.type(bht.associativity)
+    slot += packed & ((1 << width) - 1)
+    # A stable slot sort yields (slot, time) order.
+    order = _stable_argsort(slot)
+    packed_s = packed[order]
     out_s = run.out_u8[order]
-    ep_new = miss_r[order2]
-    evict = evict_r[order2]
-    slot_s = (run.pc_c[order] % bht.num_sets) * bht.associativity + way_r[order2]
+    ep_new = ((packed_s >> width) & 1).astype(np.bool_)
+    evict = (packed_s >> (width + 1)).astype(np.bool_)
+    slot_s = slot[order]
     blk_new = np.empty(n, dtype=np.bool_)
     blk_new[0] = True
     blk_new[1:] = slot_s[1:] != slot_s[:-1]

@@ -112,6 +112,10 @@ def spec(name: str) -> PredictorSpec:
     return PredictorSpec(name)
 
 
+def _serialized_digest(trace: Trace) -> str:
+    return hashlib.sha256(trace_dumps(trace)).hexdigest()
+
+
 def trace_digest(trace) -> str:
     """Content-hash of a trace (sha256 over its binary serialization).
 
@@ -119,10 +123,12 @@ def trace_digest(trace) -> str:
     equally, regardless of how they were produced. Accepts any bounded
     :class:`repro.trace.stream.TraceSource`; a non-``Trace`` source is
     hashed block-wise via :func:`repro.trace.stream.content_digest`
-    (the same digest, computed in bounded memory).
+    (the same digest, computed in bounded memory). A ``Trace`` caches
+    its digest (see :meth:`repro.trace.events.Trace.cached_digest`), so
+    a sweep serializes each in-memory trace once.
     """
     if isinstance(trace, Trace):
-        return hashlib.sha256(trace_dumps(trace)).hexdigest()
+        return trace.cached_digest(_serialized_digest)
     from ..trace.stream import content_digest
 
     return content_digest(trace)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 
 class BranchClass(enum.IntEnum):
@@ -108,7 +108,8 @@ class Trace:
     every record once per simulated predictor configuration.
     """
 
-    __slots__ = ("meta", "_pc", "_taken", "_cls", "_target", "_instret", "_trap", "_arrays")
+    __slots__ = ("meta", "_pc", "_taken", "_cls", "_target", "_instret", "_trap",
+                 "_arrays", "_digest")
 
     def __init__(
         self,
@@ -131,6 +132,7 @@ class Trace:
         self._instret = list(instret)
         self._trap = list(trap)
         self._arrays: Optional["TraceArrays"] = None
+        self._digest: Optional[Tuple[TraceMeta, str]] = None
 
     def __len__(self) -> int:
         return len(self._pc)
@@ -184,6 +186,20 @@ class Trace:
         if self._arrays is None:
             self._arrays = TraceArrays(self)
         return self._arrays
+
+    def cached_digest(self, compute: Callable[["Trace"], str]) -> str:
+        """``compute(self)``, computed once and cached on the trace.
+
+        The records never change after construction, but ``meta`` is a
+        plain attribute that a content digest also covers, so the cache
+        is tied to the identity of the (frozen) ``meta`` object:
+        assigning a new ``meta`` forces a recompute.
+        """
+        cached = self._digest
+        if cached is None or cached[0] is not self.meta:
+            cached = (self.meta, compute(self))
+            self._digest = cached
+        return cached[1]
 
     # ------------------------------------------------------------------
     # TraceSource protocol (see repro.trace.stream)
@@ -286,7 +302,7 @@ class TraceArrays:
     """
 
     __slots__ = ("pc", "taken", "cls", "target", "instret", "trap",
-                 "cond_mask", "_sites", "_site_ids")
+                 "cond_mask", "_sites", "_site_ids", "_derived")
 
     def __init__(self, trace: Optional[Trace] = None, *, columns=None) -> None:
         try:
@@ -312,6 +328,7 @@ class TraceArrays:
             getattr(self, name).flags.writeable = False
         self._sites = None
         self._site_ids = None
+        self._derived: dict = {}
 
     @classmethod
     def from_columns(cls, pc, taken, branch_cls, target, instret, trap) -> "TraceArrays":
@@ -337,6 +354,21 @@ class TraceArrays:
             ids.flags.writeable = False
             self._sites, self._site_ids = sites, ids
         return self._sites, self._site_ids
+
+    def derived(self, key, build):
+        """The array ``build()`` returns, computed once per ``key``.
+
+        For pure derived products of these columns that several
+        consumers share (the vectorized kernels key set-associative BHT
+        residency by geometry and context-switch model). The memo lives
+        and dies with these arrays; its entries are read-only.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = build()
+            value.flags.writeable = False
+            self._derived[key] = value
+        return value
 
 
 class TraceBlock:

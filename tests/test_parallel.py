@@ -91,6 +91,32 @@ class TestCacheKey:
         key_b = result_cache_key("d", "b", ContextSwitchConfig(interval=200))
         assert key_a != key_b
 
+    def test_trace_digest_serializes_once_per_meta(self, monkeypatch):
+        import dataclasses
+
+        import repro.sim.parallel as parallel_module
+
+        serialized = []
+        original = parallel_module.trace_dumps
+
+        def counting(trace):
+            serialized.append(trace.meta)
+            return original(trace)
+
+        monkeypatch.setattr(parallel_module, "trace_dumps", counting)
+        trace = synthetic.loop_trace(iterations=50, trip_count=4, name="t")
+        digest = trace_digest(trace)
+        assert trace_digest(trace) == digest
+        assert len(serialized) == 1
+        # A new meta is new content: the digest is recomputed and
+        # matches a trace built with that meta from the start.
+        trace.meta = dataclasses.replace(trace.meta, name="renamed")
+        renamed = trace_digest(trace)
+        assert renamed != digest
+        assert len(serialized) == 2
+        fresh = synthetic.loop_trace(iterations=50, trip_count=4, name="renamed")
+        assert trace_digest(fresh) == renamed
+
 
 class TestDeterminism:
     def test_parallel_matches_serial_bit_identical(self):

@@ -136,6 +136,55 @@ def test_direct_mapped_btb_matches_engine():
             )
 
 
+#: Set-associative first levels small enough (8-32 sets against the
+#: trace's 96 sites) that most LRU epochs are contended: replacement,
+#: not fill order, decides residency.
+ASSOC_SCHEMES = [
+    "pag-8-a2-32x2",
+    "pag-8-a2-64x4",
+    "pag-8-a2-128x8",
+    "psg-6-16x2",
+    "psg-6-128x4",
+    "psg-6-64x8",
+    "pap-6-a2-64x4",
+]
+
+
+@pytest.mark.parametrize("cs", CS_CONFIGS, ids=["none", "traps", "no-traps"])
+@pytest.mark.parametrize("name", ASSOC_SCHEMES)
+def test_set_associative_kernel_matches_engine(name, cs):
+    assert kernel_supports(build(name))
+    assert_equivalent(lambda: build(name), TRACE, cs=cs)
+
+
+@pytest.mark.parametrize("cs", CS_CONFIGS, ids=["none", "traps", "no-traps"])
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "keep"])
+def test_set_associative_pap_reset_policy_matches_engine(reset, cs):
+    from repro.core.twolevel import make_pap
+
+    assert_equivalent(
+        lambda: make_pap(6, A2, 64, 4, reset_pht_on_evict=reset), TRACE, cs=cs
+    )
+
+
+@pytest.mark.parametrize("cs", CS_CONFIGS, ids=["none", "traps", "no-traps"])
+def test_set_associative_btb_matches_engine(cs):
+    for automaton in (A2, LAST_TIME):
+        assert_equivalent(lambda: BTBPredictor(64, 4, automaton), TRACE, cs=cs)
+
+
+def test_set_associative_warmup_and_per_site():
+    cs = ContextSwitchConfig(interval=3_000)
+    for name in ("pag-8-a2-64x4", "psg-6-64x8"):
+        result = assert_equivalent(
+            lambda: build(name), TRACE, cs=cs, warmup=500, track=True
+        )
+        assert result.per_site_executions
+    assert_equivalent(
+        lambda: BTBPredictor(64, 4, A2), TRACE, cs=cs, warmup=500, track=True
+    )
+
+
 def test_kernel_does_not_mutate_predictor():
     predictor = build("pag-8-a2-128x1")
     before = predictor.bht.entries_snapshot()
