@@ -4,7 +4,7 @@ PYTHON ?= python
 
 WORKERS ?= 4
 
-.PHONY: install test check check-sarif lint bench bench-kernels bench-shard bench-stream bench-characterize characterize experiments sweep sweep-follow sweep-trace examples obs-demo clean
+.PHONY: install test check check-sarif lint bench bench-kernels bench-stream bench-characterize characterize experiments sweep sweep-follow sweep-trace examples obs-demo clean
 
 install:
 	pip install -e .
@@ -43,14 +43,6 @@ bench:
 # ledger (results/ledger) for repro-obs history / export-bench.
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_kernels.py --benchmark-only
-
-# Trace-sharded execution pin: asserts simulate_sharded is
-# bit-identical to the serial interpreted engine on a million-branch
-# trace (context switches + per-site tracking on) and pins the
-# measured speedup floor, appending the true per-scheme speedups to
-# the run ledger (results/ledger) for repro-obs history / export-bench.
-bench-shard:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_shard.py --benchmark-only
 
 # Streaming-substrate throughput pin: asserts that simulating a
 # million-branch mmap-backed .btrs container block-by-block (block

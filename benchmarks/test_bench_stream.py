@@ -5,10 +5,13 @@ trace substrate (``repro.trace.stream``, see docs/traces.md): driving
 the vectorized backend block-by-block from an mmap-backed ``.btrs``
 container at the default block size (2^16 records) must stay within
 ``MAX_OVERHEAD`` of simulating the fully materialized in-memory trace
-in a single kernel pass, while remaining **bit-identical**. (In
-practice the container is *faster* — blocks arrive as zero-copy NumPy
-views of the mapped file, skipping the list->ndarray conversion the
-in-memory path pays.) The measured overheads land in
+in a single kernel pass — the next-best path — while remaining
+**bit-identical**. The schemes cover every first-level family the
+chunked driver carries state for: the global register, ideal and
+direct-mapped per-address registers, set-associative LRU residency,
+per-slot PAp tables and a tournament's choosers. (Blocks arrive as
+zero-copy NumPy views of the mapped file, skipping the list->ndarray
+conversion the in-memory path pays.) The measured overheads land in
 ``benchmark.extra_info`` and, through the session hook in
 ``conftest.py``, in the persistent run ledger, so
 ``repro-obs export-bench`` snapshots them into ``BENCH_*.json``.
@@ -21,7 +24,6 @@ import pytest
 
 from repro.predictors.registry import make_predictor
 from repro.sim import simulate_vectorized
-from repro.sim.kernels import simulate_vectorized_stream
 from repro.trace.events import TraceBuilder
 from repro.trace.stream import open_stream, save_source
 
@@ -31,10 +33,13 @@ BLOCK_SIZE = 1 << 16
 #: Streamed wall time may exceed materialized by at most 10%.
 MAX_OVERHEAD = 1.10
 
-#: The flagship kernelized schemes; PAp has no stream kernel by design.
 SCHEMES = {
     "gag-12": "gag-12",
     "pag-12-dm": "pag-12-a2-512x1",
+    "pag-12-512x4": "pag-12-512x4",
+    "pap-8-512x1": "pap-8-512x1",
+    "gselect-6+6": "gselect-6+6",
+    "tournament": "tournament",
 }
 
 
@@ -74,6 +79,10 @@ def test_bench_stream_overhead(benchmark, million_trace, container_path, label):
     materialized_s = []
     reference = None
     for _ in range(3):
+        # Each streamed pass derives the set-associative residency of
+        # its blocks afresh; drop the trace's memo so the materialized
+        # pass does too, instead of reusing the previous round's.
+        million_trace.as_arrays()._derived.clear()
         t0 = time.perf_counter()
         reference = simulate_vectorized(make_predictor(name), million_trace)
         materialized_s.append(time.perf_counter() - t0)
@@ -83,7 +92,7 @@ def test_bench_stream_overhead(benchmark, million_trace, container_path, label):
         streamed = None
         for _ in range(3):
             t0 = time.perf_counter()
-            streamed = simulate_vectorized_stream(
+            streamed = simulate_vectorized(
                 make_predictor(name), source, block_size=BLOCK_SIZE
             )
             streamed_s.append(time.perf_counter() - t0)
@@ -103,7 +112,7 @@ def test_bench_stream_overhead(benchmark, million_trace, container_path, label):
         )
         # The ledger records the streamed wall time as the measurement.
         benchmark.pedantic(
-            lambda: simulate_vectorized_stream(
+            lambda: simulate_vectorized(
                 make_predictor(name), source, block_size=BLOCK_SIZE
             ),
             rounds=1,

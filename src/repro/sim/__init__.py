@@ -13,8 +13,6 @@ from .kernels import (
     KernelUnavailable,
     kernel_supports,
     simulate_vectorized,
-    simulate_vectorized_stream,
-    stream_kernel_supports,
 )
 from .fetch import BranchTargetCache, FetchEngine, FetchStats, ReturnAddressStack
 from .ipc import IPCEstimate, MachineModel, ipc_estimate, ipc_from_result, speedup
@@ -33,7 +31,6 @@ from .results import (
     geometric_mean,
 )
 from .runner import BenchmarkCase, PredictorBuilder, run_case, run_matrix, sweep_parameter
-from .shard import shard_supports, simulate_sharded
 
 __all__ = [
     "BenchmarkCase",
@@ -63,17 +60,13 @@ __all__ = [
     "result_cache_key",
     "run_case",
     "run_matrix",
-    "shard_supports",
     "simulate",
-    "simulate_sharded",
     "simulate_delayed",
     "simulate_named",
     "simulate_vectorized",
-    "simulate_vectorized_stream",
     "simulate_with_backend",
     "spec",
     "speedup",
-    "stream_kernel_supports",
     "sweep_parameter",
     "trace_digest",
 ]

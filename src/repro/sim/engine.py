@@ -96,7 +96,6 @@ def simulate(
     probe: Optional["Probe"] = None,
     backend: str = "python",
     block_size: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> SimulationResult:
     """Replay ``trace`` through ``predictor`` and score its predictions.
 
@@ -133,19 +132,9 @@ def simulate(
         block_size: when given, consume the trace in blocks of at most
             this many records, bounding peak memory by the block size
             instead of the trace length. Results are bit-identical for
-            every block size. A non-``Trace`` source streams block-wise
-            even when this is ``None`` (at the default block size).
-            Mutually exclusive with ``shards``.
-        shards: when given (>= 1), run the trace-sharded kernel driver
-            (:mod:`repro.sim.shard`): the conditional stream is split
-            into this many contiguous chunks whose pattern-table scans
-            run in parallel workers with symbolic starting states,
-            reconciled via composition-LUT prefix products —
-            bit-identical to the serial engine at every shard count.
-            Requires a kernel backend (``"auto"`` falls back to the
-            interpreted loop when the predictor has no kernel;
-            ``"python"`` rejects the knob). Ignored for probed runs
-            (probes force the interpreted loop).
+            every block size, on every backend. A non-``Trace`` source
+            streams block-wise even when this is ``None`` (at the
+            default block size).
 
     Returns:
         A :class:`SimulationResult` with accuracy and bookkeeping.
@@ -159,7 +148,6 @@ def simulate(
         probe=probe,
         backend=backend,
         block_size=block_size,
-        shards=shards,
     )
     return result
 
@@ -173,16 +161,13 @@ def simulate_with_backend(
     probe: Optional["Probe"] = None,
     backend: str = "python",
     block_size: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> Tuple[SimulationResult, str]:
     """:func:`simulate`, additionally reporting the backend that ran.
 
     Returns:
         ``(result, used)`` where ``used`` is ``"python"`` or
         ``"vectorized"`` — what actually executed after ``"auto"``
-        resolution, probe forcing, and kernel fallback (sharded runs
-        report ``"vectorized"``: the shard driver is the kernel
-        machinery on chunks). Telemetry consumers
+        resolution, probe forcing, and kernel fallback. Telemetry consumers
         (:mod:`repro.sim.parallel`, the run ledger) record ``used`` so
         throughput numbers are attributable.
     """
@@ -192,29 +177,10 @@ def simulate_with_backend(
         )
     if block_size is not None and block_size < 1:
         raise ValueError("block_size must be >= 1")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if backend == "python":
-            raise ValueError(
-                "shards is a kernel-backend knob; use backend='auto' or "
-                "'vectorized' (the interpreted loop is inherently serial)"
-            )
-        if block_size is not None:
-            raise ValueError(
-                "shards and block_size are mutually exclusive: sharding "
-                "materialises the whole trace and splits it into chunks, "
-                "block_size exists to bound memory below the trace length"
-            )
     if getattr(trace, "num_records", 0) is None:
         raise ValueError(
             "cannot simulate an unbounded trace source; bound it with .limit(n)"
         )
-    # A plain in-memory Trace with no block size runs the original
-    # whole-trace paths; anything else streams block-wise with carried
-    # state (non-Trace sources stream even without an explicit
-    # block_size so an mmap-backed container is never materialized).
-    streaming = block_size is not None or not isinstance(trace, Trace)
     # Structured-log telemetry (a no-op unless repro.obs.log was
     # enabled; the deferred import keeps package init acyclic). Both
     # events fire outside the record loop, so the probe-off fast path
@@ -271,54 +237,21 @@ def simulate_with_backend(
         try:
             # Deferred and guarded: the kernels need numpy, which is an
             # optional dependency of the interpreted simulator.
-            from .kernels import (
-                KernelUnavailable,
-                simulate_vectorized,
-                simulate_vectorized_stream,
-            )
+            from .kernels import KernelUnavailable, simulate_vectorized
         except ImportError:
             if backend == "vectorized":
                 raise
         else:
-            span_id = (
-                recorder.push(
-                    "kernel",
-                    cat="engine",
-                    streaming=streaming,
-                    shards=0 if shards is None else shards,
-                )
-                if recorder is not None
-                else 0
-            )
+            span_id = recorder.push("kernel", cat="engine") if recorder is not None else 0
             try:
-                if shards is not None:
-                    from .shard import simulate_sharded
-
-                    result = simulate_sharded(
-                        predictor,
-                        trace,
-                        shards=shards,
-                        context_switches=context_switches,
-                        track_per_site=track_per_site,
-                        warmup_branches=warmup_branches,
-                    )
-                elif streaming:
-                    result = simulate_vectorized_stream(
-                        predictor,
-                        trace,
-                        context_switches=context_switches,
-                        track_per_site=track_per_site,
-                        warmup_branches=warmup_branches,
-                        block_size=block_size,
-                    )
-                else:
-                    result = simulate_vectorized(
-                        predictor,
-                        trace,
-                        context_switches=context_switches,
-                        track_per_site=track_per_site,
-                        warmup_branches=warmup_branches,
-                    )
+                result = simulate_vectorized(
+                    predictor,
+                    trace,
+                    context_switches=context_switches,
+                    track_per_site=track_per_site,
+                    warmup_branches=warmup_branches,
+                    block_size=block_size,
+                )
             except KernelUnavailable as exc:
                 if recorder is not None:
                     recorder.pop_through(span_id, fallback=True)
@@ -331,8 +264,6 @@ def simulate_with_backend(
                     "kernel_fallback",
                     scheme=getattr(predictor, "name", type(predictor).__name__),
                     trace=trace.meta.name,
-                    streaming=streaming,
-                    shards=0 if shards is None else shards,
                     reason=str(exc),
                 )
             except BaseException:

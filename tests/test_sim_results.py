@@ -276,6 +276,15 @@ class TestRunTelemetryMerge:
         rebuilt = RunTelemetry.from_dict(payload)
         assert rebuilt == telemetry
 
+    def test_payload_with_retired_shards_field_loads(self):
+        from repro.sim.results import RunTelemetry
+
+        telemetry = self._telemetry(n_workers=2, wall_time=0.5)
+        telemetry.record("s", "a", 0.5, "simulated", phases={"simulate": 0.4})
+        payload = {**telemetry.to_dict(), "shards": 4}
+        assert "shards" not in telemetry.to_dict()
+        assert RunTelemetry.from_dict(payload) == telemetry
+
     def test_as_dict_reports_sorted_rounded_phases(self):
         telemetry = self._telemetry()
         telemetry.record("s", "a", 0.2, "simulated",
