@@ -4,7 +4,7 @@ PYTHON ?= python
 
 WORKERS ?= 4
 
-.PHONY: install test check check-sarif lint bench bench-kernels bench-stream bench-characterize characterize experiments sweep sweep-follow sweep-trace examples obs-demo clean
+.PHONY: install test check check-sarif lint bench bench-kernels bench-stream bench-spans bench-characterize characterize experiments sweep sweep-follow sweep-trace examples obs-demo clean
 
 install:
 	pip install -e .
@@ -51,6 +51,14 @@ bench-kernels:
 # ledger (results/ledger) for repro-obs history / export-bench.
 bench-stream:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_stream.py --benchmark-only
+
+# Span-recorder overhead pins: asserts that simulate() with no recorder
+# enabled stays within 5% of the plain pre-observability loop, and that
+# a traced nine-scheme sweep exports a valid Chrome trace whose per-cell
+# span totals agree with the CellTelemetry phases within 1%. Sweeps
+# record every cell as spans, so these pins guard every sweep.
+bench-spans:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_spans.py --benchmark-only
 
 # Characterization-engine throughput pin: asserts the vectorized
 # counting backend is bit-identical to the pure-python loop and >=5x

@@ -11,8 +11,8 @@ The subsystem splits into four layers, each usable on its own:
 * :mod:`repro.obs.metrics` — interval accuracy series, mispredict-streak
   histograms, top-K offender tables, post-flush warm-up curves, and
   PHT/BHT occupancy + interference counters.
-* :mod:`repro.obs.profile` — per-phase ``perf_counter`` spans,
-  per-call predict/update timing, optional cProfile capture.
+* :mod:`repro.obs.profile` — per-call predict/update timing and
+  optional cProfile capture (phase timing is spans, below).
 * :mod:`repro.obs.report` / :mod:`repro.obs.export` /
   :mod:`repro.obs.runner` — the schema-stable :class:`RunReport`, JSONL
   event traces, and the :func:`observe` orchestration behind
@@ -85,7 +85,7 @@ from .metrics import (
     WarmupWindow,
 )
 from .probes import Probe, ProbeSet
-from .profile import PhaseTimer, SpanStats, TimingPredictor, run_cprofile
+from .profile import TimingPredictor, run_cprofile
 from .prom import render_metrics
 from .report import SCHEMA, RunReport, format_report
 from .resources import ResourceSample, read_resources
@@ -102,7 +102,6 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LedgerEntry",
     "Offender",
-    "PhaseTimer",
     "Probe",
     "ProbeSet",
     "RegressionFinding",
@@ -115,7 +114,6 @@ __all__ = [
     "Span",
     "SpanCollector",
     "SpanRecorder",
-    "SpanStats",
     "StreakHistogramProbe",
     "SweepMonitor",
     "SweepStatus",

@@ -4,10 +4,12 @@ A Figure-9-style sweep is dozens of (scheme, benchmark) cells spread
 over worker processes; until this module, the only signal that it was
 alive was the process table. The pieces here close that gap:
 
-* :class:`Heartbeat` — the tiny, picklable record a worker (or the
-  parent, for cache hits) emits when it starts and finishes a cell.
-  Workers put them on a ``multiprocessing`` queue supplied by
-  :func:`repro.sim.parallel.execute_matrix` via its ``progress`` hook.
+* :class:`Heartbeat` — the tiny, picklable record of a cell starting
+  or finishing, delivered to
+  :func:`repro.sim.parallel.execute_matrix`'s ``progress`` hook.
+  Workers put their ``start`` pulses on a ``multiprocessing`` queue;
+  the parent derives each ``done`` / ``cached`` beat from the cell's
+  spans.
 * :class:`SweepMonitor` — the parent-side aggregator: feeds on
   heartbeats, tracks per-worker state, keeps the done-count
   **monotone** (a crashed worker can stall, never un-finish work) and

@@ -1,16 +1,15 @@
-"""Profiling layer: per-phase wall-clock spans and cProfile capture.
+"""Profiling layer: per-call predictor timing and cProfile capture.
 
-Two granularities:
+Phase timing (``trace_load``, ``build``, ``simulate``) is recorded as
+spans (:mod:`repro.obs.spans`); this module covers the two finer
+granularities a span cannot:
 
-* **Phase spans** — :class:`PhaseTimer` accumulates named
-  ``time.perf_counter`` spans (``trace_load``, ``build``, ``simulate``,
-  and, with :class:`TimingPredictor`, per-call ``predict`` / ``update``
-  splits). Span totals land in the :class:`~repro.obs.report.RunReport`
-  timing section and mirror the per-cell phase breakdown the parallel
-  runner records in :class:`~repro.sim.results.RunTelemetry`.
-* **cProfile** — :func:`run_cprofile` wraps any callable and returns the
-  top of the cumulative-time profile as text, for when span totals show
-  *where* time goes but not *why*.
+* :class:`TimingPredictor` — per-call ``predict`` / ``update`` totals.
+  These stay plain counters rather than spans: a span per branch
+  record would cost far more than the call it measures.
+* :func:`run_cprofile` — wraps any callable and returns the top of the
+  cumulative-time profile as text, for when span totals show *where*
+  time goes but not *why*.
 
 ``perf_counter`` here is telemetry, never an input to a result — the
 same allowance the determinism lint grants the run-telemetry layer
@@ -31,70 +30,11 @@ import cProfile
 import io
 import pstats
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Mapping, Tuple, TypeVar
+from typing import Any, Callable, Dict, Tuple, TypeVar
 
-__all__ = ["PhaseTimer", "SpanStats", "TimingPredictor", "run_cprofile"]
+__all__ = ["TimingPredictor", "run_cprofile"]
 
 T = TypeVar("T")
-
-
-@dataclass
-class SpanStats:
-    """Accumulated wall time for one named phase."""
-
-    seconds: float = 0.0
-    calls: int = 0
-
-    def add(self, seconds: float, calls: int = 1) -> None:
-        self.seconds += seconds
-        self.calls += calls
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"seconds": self.seconds, "calls": self.calls}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SpanStats":
-        return cls(seconds=float(payload["seconds"]), calls=int(payload["calls"]))
-
-
-class PhaseTimer:
-    """Named ``perf_counter`` spans with zero setup cost.
-
-    Usage::
-
-        timer = PhaseTimer()
-        with timer.span("simulate"):
-            result = simulate(predictor, trace)
-        timer.as_dict()   # {"simulate": {"seconds": ..., "calls": 1}}
-    """
-
-    def __init__(self) -> None:
-        self.spans: Dict[str, SpanStats] = {}
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        span = self.spans.get(name)
-        if span is None:
-            span = SpanStats()
-            self.spans[name] = span
-        span.add(seconds, calls)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - started)
-
-    def seconds(self, name: str) -> float:
-        span = self.spans.get(name)
-        return span.seconds if span is not None else 0.0
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Span totals, phase names sorted for stable serialisation."""
-        return {name: self.spans[name].to_dict() for name in sorted(self.spans)}
 
 
 class TimingPredictor:
@@ -102,24 +42,32 @@ class TimingPredictor:
 
     Transparent for simulation semantics: all four engine-facing calls
     delegate to the wrapped predictor unchanged, so results are
-    bit-identical; only wall time is observed.
+    bit-identical; only wall time is observed. :attr:`totals` maps
+    ``"predict"`` / ``"update"`` to ``{"seconds", "calls"}`` — the
+    :attr:`~repro.obs.report.RunReport.timing` entry shape — from the
+    first call on.
     """
 
-    def __init__(self, inner, timer: PhaseTimer) -> None:
+    def __init__(self, inner) -> None:
         self.inner = inner
-        self.timer = timer
         self.name = inner.name
+        self.totals: Dict[str, Dict[str, float]] = {}
+
+    def _add(self, call: str, started: float) -> None:
+        total = self.totals.setdefault(call, {"seconds": 0.0, "calls": 0})
+        total["seconds"] += time.perf_counter() - started
+        total["calls"] += 1
 
     def predict(self, pc: int, target: int = 0) -> bool:
         started = time.perf_counter()
         prediction = self.inner.predict(pc, target)
-        self.timer.add("predict", time.perf_counter() - started)
+        self._add("predict", started)
         return prediction
 
     def update(self, pc: int, taken: bool, target: int = 0) -> None:
         started = time.perf_counter()
         self.inner.update(pc, taken, target)
-        self.timer.add("update", time.perf_counter() - started)
+        self._add("update", started)
 
     def on_context_switch(self) -> None:
         self.inner.on_context_switch()

@@ -3,8 +3,8 @@
 :func:`observe` is the orchestration behind ``python -m repro.obs``: it
 builds a registered predictor, generates (or accepts) a workload trace,
 assembles the standard metric probes into a
-:class:`~repro.obs.probes.ProbeSet`, runs the simulation with per-phase
-timing spans, and returns a fully-populated
+:class:`~repro.obs.probes.ProbeSet`, runs the simulation with its
+phases recorded as spans, and returns a fully-populated
 :class:`~repro.obs.report.RunReport`.
 
 It is also the library entry point — notebooks and experiment scripts
@@ -31,8 +31,9 @@ from .metrics import (
     WarmupCurveProbe,
 )
 from .probes import Probe, ProbeSet
-from .profile import PhaseTimer, TimingPredictor, run_cprofile
+from .profile import TimingPredictor, run_cprofile
 from .report import RunReport
+from .spans import SpanRecorder, span_totals
 
 __all__ = ["normalize_scheme", "observe"]
 
@@ -123,14 +124,17 @@ def observe(
         The populated :class:`RunReport`. ``report.result`` is
         bit-identical to an unobserved ``simulate`` of the same inputs.
     """
-    timer = PhaseTimer()
+    # Phases are spans on a recorder of this run's own, never enabled
+    # process-wide: outside a sweep nothing records spans, so the
+    # engine underneath does no span work.
+    phases = SpanRecorder()
     scheme_name = normalize_scheme(scheme)
 
     if trace is None:
         if workload is None:
             raise ValueError("either a workload name or a trace is required")
         bench = get_workload(workload)
-        with timer.span("trace_load"):
+        with phases.span("trace_load"):
             test_trace = bench.generate("testing", scale=scale)
             if training_trace is None and train is not False and bench.has_training:
                 training_trace = bench.generate("training", scale=scale)
@@ -139,7 +143,7 @@ def observe(
         test_trace = trace
         workload_name = workload or trace.meta.name
 
-    with timer.span("build"):
+    with phases.span("build"):
         predictor = make_predictor(scheme_name, training_trace)
 
     intervals = (
@@ -170,18 +174,18 @@ def observe(
     for member in extra_probes:
         probe_set.add(member)
 
-    target = TimingPredictor(predictor, timer) if profile_phases else predictor
+    target = TimingPredictor(predictor) if profile_phases else predictor
 
     profile_text: Optional[str] = None
     if with_cprofile:
-        with timer.span("simulate"):
+        with phases.span("simulate"):
             result, profile_text = run_cprofile(
                 lambda: simulate(
                     target, test_trace, context_switches=context_switches, probe=probe_set
                 )
             )
     else:
-        with timer.span("simulate"):
+        with phases.span("simulate"):
             result = simulate(
                 target, test_trace, context_switches=context_switches, probe=probe_set
             )
@@ -191,7 +195,7 @@ def observe(
         from ..analysis.predictability import DEFAULT_MAX_K
         from ..analysis.predictability import characterize as run_characterize
 
-        with timer.span("characterize"):
+        with phases.span("characterize"):
             char_report = run_characterize(
                 test_trace,
                 max_k=(
@@ -217,8 +221,20 @@ def observe(
         warmup=warmup.curve(),
         warmup_segments=warmup.segments,
         tables=tables.snapshot,
-        timing=timer.as_dict(),
+        timing=_timing(phases, target.totals if profile_phases else {}),
         cprofile=profile_text,
         events_path=str(events.path) if events is not None else None,
         extra=extra,
     )
+
+
+def _timing(phases: SpanRecorder, calls: dict) -> dict:
+    """``RunReport.timing``: per-phase span totals plus any per-call
+    predict/update totals, as ``{"seconds", "calls"}`` entries with
+    names sorted for stable serialisation."""
+    timing = {
+        name: {"seconds": total["seconds"], "calls": total["count"]}
+        for name, total in span_totals(phases.spans).items()
+    }
+    timing.update(calls)
+    return {name: timing[name] for name in sorted(timing)}

@@ -1,41 +1,42 @@
 """Hierarchical span tracing across processes (sweep -> cell -> phase).
 
-Phase *totals* (PR 3's :class:`~repro.obs.profile.PhaseTimer`, the
-per-cell breakdowns in :class:`~repro.sim.results.RunTelemetry`) say how
-much time a phase cost; they cannot say *when* it ran, on *which
-worker*, or what it overlapped with. This module records that missing
-dimension as **spans** — named, nested intervals on the shared
-monotonic timeline — and exports them in the Chrome trace-event JSON
-format, so a whole parallel sweep loads directly into Perfetto
-(https://ui.perfetto.dev) with one track per worker process.
+Spans are the one timing primitive: named, nested intervals on the
+shared monotonic timeline. Every sweep cell is recorded as a ``cell``
+span with phase children, and its :class:`~repro.sim.results.CellTelemetry`
+and ``done`` heartbeat are views over that subtree. Spans also say
+*when* a phase ran, on *which worker*, and what it overlapped with, and
+they export in the Chrome trace-event JSON format, so a whole parallel
+sweep loads directly into Perfetto (https://ui.perfetto.dev) with one
+track per worker process.
 
 The pieces:
 
 * :class:`Span` — one completed interval: name, category, start
   (``ts``) and duration (``dur``) in **microseconds on the
   ``time.perf_counter`` timeline**, producer ``pid``/``tid``, a
-  per-recorder ``span_id`` and the ``parent_id`` linking it into the
-  tree, plus free-form JSON ``args``. ``perf_counter`` reads
-  ``CLOCK_MONOTONIC``, which forked children share, so parent and
-  worker spans are directly comparable on the platforms the parallel
-  runner forks on (and merely mutually ordered elsewhere).
-* :class:`SpanRecorder` — the per-process recorder: a stack for
-  nesting (``span`` context manager or explicit ``push``/``pop``) plus
+  ``span_id`` (unique within its process) and the ``parent_id``
+  linking it into the tree, plus free-form JSON ``args``. Frozen and
+  picklable, so a worker returns its cell's spans with the cell's
+  result. ``perf_counter`` reads ``CLOCK_MONOTONIC``, which forked
+  children share, so parent and worker spans are directly comparable
+  on the platforms the parallel runner forks on (and merely mutually
+  ordered elsewhere).
+* :class:`SpanRecorder` — a recorder: a stack for nesting (``span``
+  context manager or explicit ``push``/``pop``) plus
   :meth:`~SpanRecorder.record` for retroactive spans built from
-  timestamps measured elsewhere (the parallel runner reuses its
-  existing phase clock reads, so span totals equal the telemetry phase
-  times *exactly*).
-* ``enable`` / ``disable`` / ``get_recorder`` — the process-wide
-  current recorder. Emission sites (the engine, the kernels' stream
-  loop, the parallel runner) fetch it once per run; when no recorder
-  is enabled they skip all span work, the same zero-overhead-when-off
-  discipline as the PR 3 probes (pinned in
-  ``benchmarks/test_bench_spans.py``).
-* :class:`SpanCollector` — the parent-side aggregator for sweeps:
-  workers drain their recorder at cell end and ship the spans through
-  the existing heartbeat manager queue as plain tuples
-  (:func:`to_wire` / :func:`from_wire`); a crashed worker simply never
-  ships, which loses its spans but never corrupts the sweep trace.
+  timestamps measured elsewhere.
+* ``enable`` / ``disable`` / ``get_recorder`` / ``recording`` — the
+  process-wide current recorder. Emission sites (the engine, the
+  kernels' chunk loop, :func:`repro.trace.stream.open_trace_source`,
+  the parallel runner) go through :func:`span` and
+  :func:`traced_blocks`, which do no span work when no recorder is
+  enabled — the same zero-overhead-when-off discipline as the probes
+  (pinned in ``benchmarks/test_bench_spans.py``). Within the program
+  only a sweep enables one, so outside a sweep nothing records.
+* :class:`SpanCollector` — a sweep's ``tracer``: receives exactly that
+  sweep's spans, one batch per cell plus the ``sweep`` root. A worker
+  that crashes returns no result, so its cell's spans are lost whole
+  and the collected trace stays valid.
 * :func:`to_chrome_trace` / :func:`spans_from_chrome` /
   :func:`validate_chrome_trace` — conversion to and from the Chrome
   trace-event JSON object form (``{"traceEvents": [...]}``) with a
@@ -45,8 +46,7 @@ The pieces:
 * :func:`build_span_tree` / :func:`validate_span_tree` /
   :func:`span_totals` / :func:`cell_phase_totals` — tree assembly and
   integrity checks (parent resolution, containment, monotone clocks)
-  and the per-cell per-phase aggregation the acceptance tests compare
-  against :class:`~repro.sim.results.CellTelemetry`.
+  and the per-cell per-phase aggregation.
 
 All clocks here are ``time.perf_counter`` — telemetry only, never an
 input to a simulation result (the determinism lint's standing
@@ -55,11 +55,15 @@ allowance).
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple, TypeVar,
+)
 
 __all__ = [
     "SPANS_SCHEMA",
@@ -71,14 +75,14 @@ __all__ = [
     "cell_span_summaries",
     "disable",
     "enable",
-    "from_wire",
     "get_recorder",
     "recording",
+    "span",
     "span_totals",
     "spans_from_chrome",
     "summarize_spans",
     "to_chrome_trace",
-    "to_wire",
+    "traced_blocks",
     "validate_chrome_trace",
     "validate_span_tree",
 ]
@@ -90,6 +94,14 @@ SPANS_SCHEMA = "repro.obs.spans/1"
 #: Args keys the Chrome exporter claims for tree linkage; user args may
 #: not collide with them (enforced by :meth:`SpanRecorder._open`).
 _RESERVED_ARGS = ("span_id", "parent_id")
+
+#: Span ids come from one process-wide counter, so every recorder in a
+#: process — a sweep's, each of its cells', a worker's across all the
+#: cells it draws — hands out distinct ids and ``(pid, tid, span_id)``
+#: identifies a span in any merged trace.
+_SPAN_IDS = itertools.count(1)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,7 @@ class Span:
         pid: producer process id (one Perfetto track group per pid).
         tid: producer thread id within the pid (1 for the runners here,
             which are single-threaded per process).
-        span_id: recorder-local id, unique within ``(pid, tid)``.
+        span_id: id unique within ``(pid, tid)``.
         parent_id: enclosing span's ``span_id`` (same recorder), or
             ``None`` for a root.
         args: free-form JSON-compatible payload (scheme, benchmark,
@@ -171,31 +183,6 @@ class Span:
         )
 
 
-#: Wire form of one span: a plain tuple, so worker processes can ship
-#: spans through a multiprocessing manager queue without the receiving
-#: side needing anything beyond this module.
-_Wire = Tuple[str, str, float, float, int, int, int, Optional[int], Dict[str, Any]]
-
-
-def to_wire(spans: Sequence[Span]) -> List[_Wire]:
-    """Flatten spans to plain picklable tuples for the heartbeat queue."""
-    return [
-        (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, s.span_id, s.parent_id, dict(s.args))
-        for s in spans
-    ]
-
-
-def from_wire(wire: Sequence[_Wire]) -> List[Span]:
-    """Inverse of :func:`to_wire`; tolerant of nothing — wire tuples are
-    produced only by this module, so shape errors raise loudly."""
-    return [
-        Span(name=w[0], cat=w[1], ts=float(w[2]), dur=float(w[3]), pid=int(w[4]),
-             tid=int(w[5]), span_id=int(w[6]),
-             parent_id=None if w[7] is None else int(w[7]), args=dict(w[8]))
-        for w in wire
-    ]
-
-
 class _OpenSpan:
     """Mutable in-flight span (internal to :class:`SpanRecorder`)."""
 
@@ -212,10 +199,10 @@ class _OpenSpan:
 
 
 class SpanRecorder:
-    """Per-process span recorder with a nesting stack.
+    """A span recorder with a nesting stack.
 
-    Single-threaded by contract, like every runner in this repo: one
-    recorder per process, driven from that process's main thread. The
+    Single-threaded by contract, like every runner in this repo: a
+    recorder is driven from one process's main thread. The
     clock is injectable (any zero-arg float-seconds callable) so tests
     are deterministic; the default is the monotonic
     ``time.perf_counter``, whose timeline forked workers share.
@@ -225,7 +212,7 @@ class SpanRecorder:
     * ``with recorder.span("simulate", cat="phase"):`` — measure a
       block, nested under whatever is currently open;
     * ``recorder.push(...)`` / ``recorder.pop(...)`` — the same without
-      re-indenting existing code (the engine's loops use this);
+      re-indenting existing code;
     * ``recorder.record(name, start=a, end=b)`` — a retroactive span
       from clock readings taken elsewhere, so existing telemetry
       measurements can double as spans without a second clock read.
@@ -245,7 +232,6 @@ class SpanRecorder:
         self._clock = clock
         self.pid = os.getpid() if pid is None else pid
         self.tid = tid
-        self._next_id = 1
         self._stack: List[_OpenSpan] = []
         self._spans: List[Span] = []
 
@@ -256,9 +242,7 @@ class SpanRecorder:
             if reserved in args:
                 raise ValueError(f"span arg {reserved!r} is reserved for tree linkage")
         parent_id = self._stack[-1].span_id if self._stack else None
-        span = _OpenSpan(name, cat, ts, self._next_id, parent_id, args)
-        self._next_id += 1
-        return span
+        return _OpenSpan(name, cat, ts, next(_SPAN_IDS), parent_id, args)
 
     def push(self, name: str, cat: str = "", start: Optional[float] = None,
              **args: Any) -> int:
@@ -326,13 +310,20 @@ class SpanRecorder:
                 return span
 
     @contextmanager
-    def span(self, name: str, cat: str = "", **args: Any) -> Iterator[None]:
-        """Context-manager form of :meth:`push`/:meth:`pop`."""
+    def span(self, name: str, cat: str = "", **args: Any) -> Iterator[Dict[str, Any]]:
+        """Context-manager form of :meth:`push`/:meth:`pop`.
+
+        Yields a dict whose entries are merged into the span's args when
+        it closes, for values known only at the end. An exception
+        closes the span, and any child left open under it, on its way
+        out.
+        """
         span_id = self.push(name, cat=cat, **args)
+        closing: Dict[str, Any] = {}
         try:
-            yield
+            yield closing
         finally:
-            self.pop_through(span_id)
+            self.pop_through(span_id, **closing)
 
     def record(self, name: str, cat: str = "", *, start: float, end: float,
                **args: Any) -> Span:
@@ -340,10 +331,7 @@ class SpanRecorder:
 
         ``start``/``end`` are *seconds* on the recorder's clock
         timeline; the span nests under the currently-open span (if
-        any). This is how the parallel runner turns its existing phase
-        measurements into spans without re-reading the clock — which is
-        what makes span totals agree with the telemetry phase times
-        exactly, not just approximately.
+        any).
         """
         open_span = self._open(name, cat, start * 1e6, args)
         span = Span(
@@ -381,7 +369,7 @@ class SpanRecorder:
 
 
 # ----------------------------------------------------------------------
-# The process-wide current recorder (the engine's emission hook)
+# The process-wide current recorder and its emission helpers
 # ----------------------------------------------------------------------
 
 _ACTIVE: Optional[SpanRecorder] = None
@@ -390,11 +378,10 @@ _ACTIVE: Optional[SpanRecorder] = None
 def enable(recorder: SpanRecorder) -> SpanRecorder:
     """Install ``recorder`` as the process's current recorder.
 
-    Emission sites (:func:`repro.sim.engine.simulate_with_backend`, the
-    kernels' stream loop, :func:`repro.trace.stream.open_trace_source`)
-    consult :func:`get_recorder` once per run; with no recorder enabled
-    they do no span work at all. Enabling is not reentrant by design —
-    one recorder per process, mirroring one heartbeat queue per sweep.
+    Emission sites record through :func:`span` and
+    :func:`traced_blocks`, which read the current recorder once per
+    call; with no recorder enabled they do no span work at all. Prefer
+    :func:`recording`, which puts the previous recorder back.
     """
     global _ACTIVE
     _ACTIVE = recorder
@@ -414,48 +401,80 @@ def get_recorder() -> Optional[SpanRecorder]:
 
 @contextmanager
 def recording(recorder: Optional[SpanRecorder] = None) -> Iterator[SpanRecorder]:
-    """Enable a recorder for a ``with`` block (fresh one by default)."""
+    """Enable a recorder for a ``with`` block (fresh one by default).
+
+    On exit — normal or by exception — whatever recorder was enabled
+    before is enabled again, so recordings nest: a sweep run inside a
+    caller's ``recording()`` leaves the caller's recorder current and
+    untouched.
+    """
+    global _ACTIVE
+    previous = _ACTIVE
     active = enable(recorder if recorder is not None else SpanRecorder())
     try:
         yield active
     finally:
-        disable()
+        _ACTIVE = previous
+
+
+def span(name: str, cat: str = "", **args: Any) -> ContextManager[Dict[str, Any]]:
+    """:meth:`SpanRecorder.span` on the current recorder.
+
+    Yields the dict of args to set when the span closes (``branches``,
+    ``fallback``, resource readings). With no recorder enabled it does
+    no span work and the dict is discarded.
+    """
+    recorder = _ACTIVE
+    if recorder is None:
+        return nullcontext({})
+    return recorder.span(name, cat, **args)
+
+
+def traced_blocks(blocks: Iterable[T]) -> Iterable[T]:
+    """Record each block of a block iterator as a ``"block"`` span.
+
+    A block's span opens when the block is handed to the consumer and
+    closes when the consumer asks for the next one, so it covers the
+    work done on that block — the per-block level of the sweep → cell
+    → phase → block hierarchy. With no recorder enabled, ``blocks`` is
+    returned as it is.
+    """
+    recorder = _ACTIVE
+    return blocks if recorder is None else _block_spans(blocks, recorder)
+
+
+def _block_spans(blocks: Iterable[T], recorder: SpanRecorder) -> Iterator[T]:
+    for index, block in enumerate(blocks):
+        span_id = recorder.push("block", cat="engine", index=index, records=len(block))
+        try:
+            yield block
+        finally:
+            # On an exception in the consumer this generator is
+            # finalized after the enclosing span has closed; a stale id
+            # must not pop another span.
+            recorder.pop_if_open(span_id)
 
 
 # ----------------------------------------------------------------------
-# Parent-side collection
+# Collection
 # ----------------------------------------------------------------------
 
 
 class SpanCollector:
-    """Aggregates spans from the parent recorder and worker wire batches.
+    """Receives one sweep's spans: the ``sweep`` root and each cell's batch.
 
-    Fed by :func:`repro.sim.parallel.execute_matrix` while it drains the
-    heartbeat queue. Loss-tolerant by construction: each worker ships
-    its cell's spans as one wire batch *after* the cell completes, so a
-    crashed worker contributes nothing rather than a torn batch, and the
-    collected trace always validates (:func:`validate_span_tree` treats
-    every batch independently).
+    Pass one as ``tracer`` to :func:`repro.sim.runner.run_matrix`. Each
+    cell's spans arrive whole with the cell's result, so a crashed
+    worker contributes nothing rather than a torn batch, and the
+    collected trace always validates.
     """
 
     def __init__(self) -> None:
         self._spans: List[Span] = []
-        self.batches = 0
 
     def ingest(self, spans: Sequence[Span]) -> None:
-        """Add completed spans (parent-side recorder drains)."""
+        """Add one batch of completed spans."""
         self._spans.extend(spans)
-        self.batches += 1
-
-    def ingest_wire(self, wire: Sequence[_Wire]) -> None:
-        """Add one worker's shipped batch; a malformed batch is dropped
-        whole (never partially), keeping the sweep trace coherent."""
-        try:
-            spans = from_wire(wire)
-        except Exception:
-            return
-        self._spans.extend(spans)
-        self.batches += 1
 
     @property
     def spans(self) -> List[Span]:

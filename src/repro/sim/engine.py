@@ -184,14 +184,13 @@ def simulate_with_backend(
     # Structured-log telemetry (a no-op unless repro.obs.log was
     # enabled; the deferred import keeps package init acyclic). Both
     # events fire outside the record loop, so the probe-off fast path
-    # is untouched. The span recorder follows the same discipline:
-    # fetched once per run, consulted only at backend/phase boundaries,
-    # and None (no span work at all) unless tracing was enabled.
+    # is untouched. Spans follow the same discipline: one per backend
+    # run (plus one per block when streaming), none per record, and no
+    # span work at all unless a sweep enabled a recorder.
     from ..obs.log import get_logger
-    from ..obs.spans import get_recorder as _get_span_recorder
+    from ..obs.spans import span
 
     logger = get_logger("sim.engine")
-    recorder = _get_span_recorder()
     logger.event(
         "run_start",
         scheme=getattr(predictor, "name", type(predictor).__name__),
@@ -213,12 +212,7 @@ def simulate_with_backend(
                 "backend='vectorized' cannot honour a probe (use "
                 "backend='auto' or 'python', or drop the probe)"
             )
-        span_id = (
-            recorder.push("interpret", cat="engine", probed=True)
-            if recorder is not None
-            else 0
-        )
-        try:
+        with span("interpret", cat="engine", probed=True):
             result = _simulate_probed(
                 predictor,
                 trace,
@@ -228,9 +222,6 @@ def simulate_with_backend(
                 warmup_branches=warmup_branches,
                 block_size=block_size,
             )
-        finally:
-            if recorder is not None:
-                recorder.pop_through(span_id)
         _log_run_end(logger, result)
         return result, "python"
     if backend != "python":
@@ -242,39 +233,33 @@ def simulate_with_backend(
             if backend == "vectorized":
                 raise
         else:
-            span_id = recorder.push("kernel", cat="engine") if recorder is not None else 0
-            try:
-                result = simulate_vectorized(
-                    predictor,
-                    trace,
-                    context_switches=context_switches,
-                    track_per_site=track_per_site,
-                    warmup_branches=warmup_branches,
-                    block_size=block_size,
-                )
-            except KernelUnavailable as exc:
-                if recorder is not None:
-                    recorder.pop_through(span_id, fallback=True)
-                if backend == "vectorized":
-                    raise
-                # The auto fallback is no longer silent: the structured
-                # log records why the kernel declined so a degraded
-                # sweep is diagnosable after the fact.
-                logger.event(
-                    "kernel_fallback",
-                    scheme=getattr(predictor, "name", type(predictor).__name__),
-                    trace=trace.meta.name,
-                    reason=str(exc),
-                )
-            except BaseException:
-                if recorder is not None:
-                    recorder.pop_through(span_id)
-                raise
-            else:
-                if recorder is not None:
-                    recorder.pop_through(span_id, branches=result.conditional_branches)
-                _log_run_end(logger, result)
-                return result, "vectorized"
+            with span("kernel", cat="engine") as kernel:
+                try:
+                    result = simulate_vectorized(
+                        predictor,
+                        trace,
+                        context_switches=context_switches,
+                        track_per_site=track_per_site,
+                        warmup_branches=warmup_branches,
+                        block_size=block_size,
+                    )
+                except KernelUnavailable as exc:
+                    kernel["fallback"] = True
+                    if backend == "vectorized":
+                        raise
+                    # The auto fallback is no longer silent: the
+                    # structured log records why the kernel declined so
+                    # a degraded sweep is diagnosable after the fact.
+                    logger.event(
+                        "kernel_fallback",
+                        scheme=getattr(predictor, "name", type(predictor).__name__),
+                        trace=trace.meta.name,
+                        reason=str(exc),
+                    )
+                else:
+                    kernel["branches"] = result.conditional_branches
+                    _log_run_end(logger, result)
+                    return result, "vectorized"
     conditional = 0
     correct = 0
     switches = 0
@@ -290,11 +275,8 @@ def simulate_with_backend(
     update = predictor.update
     cond_class = int(BranchClass.CONDITIONAL)
 
-    span_id = recorder.push("interpret", cat="engine") if recorder is not None else 0
-    try:
-        for pc, taken, cls, target, instret, trap in _record_tuples(
-            trace, block_size, recorder
-        ):
+    with span("interpret", cat="engine") as interpret:
+        for pc, taken, cls, target, instret, trap in _record_tuples(trace, block_size):
             if cs_enabled and ((trap and switch_on_traps) or instret >= next_switch):
                 predictor.on_context_switch()
                 switches += 1
@@ -317,9 +299,7 @@ def simulate_with_backend(
                 per_site_wrong[pc] = per_site_wrong.get(pc, 0) + 1
             if track_per_site:
                 per_site_seen[pc] = per_site_seen.get(pc, 0) + 1
-    finally:
-        if recorder is not None:
-            recorder.pop_through(span_id, branches=conditional)
+        interpret["branches"] = conditional
 
     scored = max(conditional - warmup_branches, 0)
     result = SimulationResult(
@@ -337,38 +317,20 @@ def simulate_with_backend(
     return result, "python"
 
 
-def _record_tuples(trace: "TraceSource", block_size: Optional[int], recorder=None):
+def _record_tuples(trace: "TraceSource", block_size: Optional[int]):
     """The interpreted loops' record iterator: plain tuples, optionally
     consumed block-wise so a streamed source never materializes.
 
-    With an active span recorder and a block size, each block's
-    consumption is wrapped in a ``"block"`` span (the per-block level of
-    the sweep → cell → phase → block hierarchy); with no recorder the
-    iterator is exactly the pre-tracing chain — zero added work.
+    Block-wise, each block's consumption is a ``"block"`` span when a
+    recorder is enabled (:func:`repro.obs.spans.traced_blocks`).
     """
     if block_size is None:
         return trace.iter_tuples()
-    if recorder is None:
-        return chain.from_iterable(
-            block.iter_tuples() for block in trace.iter_blocks(block_size)
-        )
-    return _traced_block_tuples(trace, block_size, recorder)
+    from ..obs.spans import traced_blocks
 
-
-def _traced_block_tuples(trace: "TraceSource", block_size: int, recorder):
-    """Block-wise record iterator emitting one span per consumed block.
-
-    The lenient ``pop_if_open`` matters: on an exception in the
-    consuming loop this generator is finalized *after* the caller has
-    already closed its own enclosing span, and a blind pop would then
-    close somebody else's.
-    """
-    for index, block in enumerate(trace.iter_blocks(block_size)):
-        span_id = recorder.push("block", cat="engine", index=index, records=len(block))
-        try:
-            yield from block.iter_tuples()
-        finally:
-            recorder.pop_if_open(span_id)
+    return chain.from_iterable(
+        block.iter_tuples() for block in traced_blocks(trace.iter_blocks(block_size))
+    )
 
 
 def _log_run_end(logger, result: SimulationResult) -> None:

@@ -1699,23 +1699,6 @@ def kernel_supports(predictor) -> bool:
     return _kernel_for(predictor) is not None
 
 
-def _traced_blocks(blocks, recorder):
-    """Wrap a block iterator so each block's kernel pass is a span.
-
-    The span opens when the block is handed to the consumer and closes
-    when the consumer asks for the next one, so it covers the batch
-    kernel work for that block — the per-block level of the sweep →
-    cell → phase → block hierarchy. The lenient ``pop_if_open`` keeps
-    exception-path generator finalization from closing another span.
-    """
-    for index, block in enumerate(blocks):
-        span_id = recorder.push("block", cat="engine", index=index, records=len(block))
-        try:
-            yield block
-        finally:
-            recorder.pop_if_open(span_id)
-
-
 def simulate_vectorized(
     predictor,
     source,
@@ -1764,15 +1747,10 @@ def simulate_vectorized(
     if whole:
         chunks = [source]
     else:
-        # Span tracing of the streamed chunk loop: deferred import,
-        # None unless tracing is on — the traced iterator wrapper only
-        # exists on the traced path.
-        from ..obs.spans import get_recorder as _get_span_recorder
+        # Deferred: repro.obs imports repro.sim during package init.
+        from ..obs.spans import traced_blocks
 
-        chunks = source.iter_blocks(block_size or _DEFAULT_STREAM_BLOCK)
-        recorder = _get_span_recorder()
-        if recorder is not None:
-            chunks = _traced_blocks(chunks, recorder)
+        chunks = traced_blocks(source.iter_blocks(block_size or _DEFAULT_STREAM_BLOCK))
     meta = source.meta
     warmup = max(int(warmup_branches), 0)
     track = bool(track_per_site)

@@ -17,9 +17,12 @@ exploits that:
   each cell is keyed by a content-hash of the trace bytes, the scheme's
   cache key and the context-switch configuration
   (:func:`result_cache_key`); warm reruns execute zero simulations.
-* **Telemetry** — every run produces a
+* **Telemetry** — every cell runs through one cell function that
+  records it as spans (:mod:`repro.obs.spans`); the per-cell
+  :class:`~repro.sim.results.CellTelemetry` and live heartbeats are
+  views over those spans, and the run's
   :class:`~repro.sim.results.RunTelemetry` (per-cell wall time, cache
-  hit/miss counts) attached to the returned matrix.
+  hit/miss counts) is attached to the returned matrix.
 
 Determinism guarantee: for fixed builders, cases and configuration, the
 returned :class:`~repro.sim.results.ResultMatrix` is bit-identical for
@@ -34,10 +37,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import queue as queue_module
 import shutil
 import tempfile
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,7 @@ from ..trace.events import Trace
 from ..trace.io import dumps as trace_dumps
 from ..trace.io import load_trace, save_trace
 from .engine import ContextSwitchConfig, simulate_with_backend
-from .results import ResultMatrix, RunTelemetry, SimulationResult
+from .results import CellTelemetry, ResultMatrix, RunTelemetry, SimulationResult
 
 __all__ = [
     "PredictorSpec",
@@ -165,225 +166,163 @@ def result_cache_key(
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# One cell
 # ----------------------------------------------------------------------
 
 #: Per-worker-process memo of spooled traces, so a worker deserializes
 #: each benchmark trace once no matter how many of its cells it draws.
 _TRACE_MEMO: Dict[str, Trace] = {}
 
-#: Per-worker-process span recorder (traced sweeps only). One recorder
-#: per process — not per cell — so span ids stay unique within the
-#: worker's pid across every cell it draws; never read by the parent.
-_SPAN_STATE: Dict[str, Any] = {}
 
-
-def _load_spooled(path: str) -> Trace:
-    trace = _TRACE_MEMO.get(path)
-    if trace is None:
-        trace = load_trace(path)
+def _load_trace(trace):
+    """A cell's trace: in-process cells pass the trace itself (or
+    ``None``), pool cells the path of its spooled file."""
+    if not isinstance(trace, str):
+        return trace
+    loaded = _TRACE_MEMO.get(trace)
+    if loaded is None:
+        loaded = load_trace(trace)
         # Deliberate per-worker-process memo: never read by the parent.
-        _TRACE_MEMO[path] = trace  # check: allow(conc/global-write-in-worker)
-    return trace
+        _TRACE_MEMO[trace] = loaded  # check: allow(conc/global-write-in-worker)
+    return loaded
 
 
-def _worker_recorder():
-    """The worker's persistent span recorder (created and enabled once).
+def _pulse(heartbeats, label: str, case_name: str) -> None:
+    """Best-effort ``start`` pulse; telemetry must never fail a cell.
 
-    Enabling it process-wide is what lets the engine's backend/block
-    spans nest under the cell's ``simulate`` phase span.
-    """
-    recorder = _SPAN_STATE.get("recorder")
-    if recorder is None or recorder.pid != os.getpid():
-        from ..obs import spans as spans_mod
-
-        recorder = spans_mod.SpanRecorder()
-        # Deliberate per-worker-process state: never read by the parent.
-        _SPAN_STATE["recorder"] = recorder  # check: allow(conc/global-write-in-worker)
-        spans_mod.enable(recorder)
-    return recorder
-
-
-def _pulse(
-    heartbeats, kind: str, label: str, case_name: str, branches: int = 0,
-    wall: float = 0.0, rss: int = 0,
-) -> None:
-    """Best-effort heartbeat put; telemetry must never fail a cell.
-
-    Workers emit plain tuples (not :class:`repro.obs.live.Heartbeat`
-    objects) so the worker side stays import-free; the parent rewraps
-    them before invoking the ``progress`` hook. Span batches travel on
-    the same queue as ``("spans", pid, wire)`` triples — the string
-    first element is what distinguishes them from these int-pid-first
-    heartbeat tuples on the draining side.
+    A plain tuple (the :class:`repro.obs.live.Heartbeat` field order),
+    so the worker side stays import-free; the parent rewraps it.
     """
     if heartbeats is None:
         return
     try:
-        heartbeats.put((os.getpid(), kind, label, case_name, branches, wall, rss))
+        heartbeats.put((os.getpid(), "start", label, case_name))
     except Exception:
         pass
-
-
-def _ship_spans(heartbeats, recorder) -> None:
-    """Ship a worker recorder's completed spans to the parent.
-
-    One ``("spans", pid, wire)`` message per cell, put *after* the cell
-    completes — so a crashed worker contributes no batch at all (its
-    spans are lost, the sweep trace stays coherent) and a full batch is
-    never torn. Best-effort like :func:`_pulse`: span telemetry must
-    never fail a cell.
-    """
-    if recorder is None:
-        return
-    spans = recorder.drain()
-    if heartbeats is None or not spans:
-        return
-    from ..obs.spans import to_wire
-
-    try:
-        heartbeats.put(("spans", recorder.pid, to_wire(spans)))
-    except Exception:
-        pass
-
-
-def _finish_cell(recorder, cell_id: int, end: float, backend: str,
-                 heartbeats, own_recorder: bool) -> int:
-    """Close a traced cell: resource reading, span shipping, cleanup.
-
-    Always reads the process's resource usage (peak worker RSS is
-    recorded per cell whether or not tracing is on — it is two /proc
-    reads against a cell that runs for seconds) and returns the peak
-    RSS in bytes. With an active recorder, the reading lands on the
-    closing ``"cell"`` span and — for the worker's own persistent
-    recorder — the completed spans are drained and shipped; a recorder
-    an in-process caller enabled keeps its spans for that caller to
-    collect.
-    """
-    from ..obs.resources import read_resources
-
-    sample = read_resources()
-    if recorder is not None:
-        recorder.pop_through(cell_id, end=end, backend=backend, **sample.as_args())
-        if own_recorder:
-            _ship_spans(heartbeats, recorder)
-    return sample.peak_rss_bytes
 
 
 def _run_cell(
     label: str,
     case_name: str,
     builder,
-    test_path: str,
-    training_path: Optional[str],
+    test_trace,
+    training_trace,
     context_switches: Optional[ContextSwitchConfig],
     backend: str = "auto",
     heartbeats=None,
-    traced: bool = False,
-) -> Tuple[str, str, Optional[SimulationResult], float, Dict[str, float], str, int]:
-    """Execute one cell from spooled traces (runs inside a worker).
+) -> Tuple[Optional[SimulationResult], List[Any]]:
+    """Execute one cell, in the parent process or in a pool worker.
 
-    Returns ``(label, case_name, result-or-None, wall_time, phases,
-    backend, peak_rss_bytes)``; a ``None`` result means the builder
-    raised ``TrainingUnavailable``. ``phases`` breaks the wall time
-    into trace_load / build / simulate spans for the run telemetry
-    (and, downstream, ``repro.obs`` run reports); ``backend`` is the
-    engine backend that actually ran (``""`` when no simulation
-    happened); ``peak_rss_bytes`` is the worker's RSS high-water mark
-    as of cell completion. When ``heartbeats`` (a multiprocessing
-    queue) is given, the worker announces the cell's start and
-    completion on it for live ``--follow`` monitoring.
-
-    With ``traced=True`` the worker records a ``"cell"`` span with
-    ``trace_load`` / ``build`` / ``simulate`` phase children — built
-    from the *same* ``perf_counter`` readings as the returned
-    ``phases`` dict, so span durations equal the telemetry phase times
-    exactly — and ships them back on the heartbeat queue. The engine's
-    own spans (backend choice, per-block) nest under the ``simulate``
-    phase via the worker's process-wide recorder.
+    ``test_trace`` / ``training_trace`` are the traces themselves for
+    in-process cells and paths of spooled trace files for pool cells.
+    Returns ``(result, spans)``; a ``None`` result means the builder
+    raised ``TrainingUnavailable``. The spans are the cell's subtree: a
+    ``"cell"`` span with ``trace_load`` / ``build`` / ``simulate``
+    children and the engine's spans under ``simulate``, recorded on a
+    recorder enabled only while the cell runs. The ``cell`` span's args
+    carry the backend that ran (``""`` when none did), the branches
+    simulated and the process's resource reading at cell end;
+    :func:`_cell_views` derives the cell's telemetry and heartbeat from
+    them. When ``heartbeats`` (a multiprocessing queue) is given, the
+    cell announces its start on it.
     """
-    recorder = None
-    own_recorder = False
-    if traced:
-        from ..obs import spans as spans_mod
+    from ..obs import spans
+    from ..obs.resources import read_resources
 
-        recorder = spans_mod.get_recorder()
-        if (
-            recorder is None
-            or recorder is _SPAN_STATE.get("recorder")
-            or recorder.pid != os.getpid()
-        ):
-            # Worker path: the persistent per-process recorder (span
-            # ids stay unique across every cell this worker draws). A
-            # recorder whose pid differs is a fork-inherited copy of
-            # the parent's — useless here, since its spans would never
-            # ship — so the worker replaces it with its own. Only a
-            # recorder enabled by an in-process caller (same pid, not
-            # ours) is used as-is, its spans left for that caller.
-            recorder = _worker_recorder()
-            own_recorder = True
-            if recorder.depth:
-                # A previous cell in this worker died mid-span (pool
-                # workers outlive task exceptions). Abandon its partial
-                # trace — close and discard everything — so this cell's
-                # spans stay well-formed; that cell's spans are simply
-                # lost, the queue-loss-tolerance contract.
-                while recorder.depth:
-                    recorder.pop()
-                recorder.drain()
-    started = time.perf_counter()
-    cell_id = (
-        recorder.push(
-            "cell", cat="sweep", start=started, scheme=label, benchmark=case_name
+    result: Optional[SimulationResult] = None
+    used_backend = ""
+    with spans.recording() as recorder, spans.span(
+        "cell", cat="sweep", scheme=label, benchmark=case_name
+    ) as cell:
+        _pulse(heartbeats, label, case_name)
+        with spans.span("trace_load", cat="phase"):
+            test_trace = _load_trace(test_trace)
+            training_trace = _load_trace(training_trace)
+        with spans.span("build", cat="phase"):
+            try:
+                predictor = builder(training_trace)
+            except TrainingUnavailable:
+                predictor = None
+        if predictor is not None:
+            with spans.span("simulate", cat="phase"):
+                result, used_backend = simulate_with_backend(
+                    predictor,
+                    test_trace,
+                    context_switches=context_switches,
+                    backend=backend,
+                )
+        cell.update(
+            backend=used_backend,
+            branches=result.conditional_branches if result is not None else 0,
+            **read_resources().as_args(),
         )
-        if recorder is not None
-        else 0
+    return result, recorder.spans
+
+
+def _lookup_cell(
+    result_cache: ResultCache, key: str, label: str, case_name: str
+) -> Tuple[bool, Optional[SimulationResult], List[Any]]:
+    """Look one cell up in the result cache: ``(hit, result, spans)``.
+
+    The spans are a hit's subtree: a ``"cell"`` span (``cached=True``,
+    ``backend="cache"``) with one ``cache_lookup`` child. Backends are
+    excluded from cache keys, so a hit reports no engine backend: one
+    would attribute the *cached* run's engine to a near-zero lookup and
+    pollute ``regress()``'s per-backend throughput medians.
+    """
+    from ..obs import spans
+
+    result: Optional[SimulationResult] = None
+    with spans.recording() as recorder, spans.span(
+        "cell", cat="sweep", scheme=label, benchmark=case_name, cached=True
+    ) as cell:
+        with spans.span("cache_lookup", cat="phase"):
+            hit, payload = result_cache.load(key)
+            if payload is not None:
+                result = SimulationResult.from_dict(payload)
+        cell["backend"] = "cache" if result is not None else ""
+    return hit, result, recorder.spans
+
+
+def _cell_views(
+    cell_spans: Sequence[Any], result: Optional[SimulationResult]
+) -> Tuple[CellTelemetry, Any]:
+    """A cell's :class:`CellTelemetry` and heartbeat, read off its spans.
+
+    ``wall_time`` is the ``cell`` span's seconds, ``phases`` the
+    per-name totals of its children, ``backend`` and ``rss_peak`` its
+    args; the heartbeat (``done``, or ``cached`` for a cache hit)
+    carries the same wall time and RSS plus the branch count.
+    """
+    from ..obs.live import Heartbeat
+    from ..obs.spans import cell_phase_totals
+
+    (cell,) = [span for span in cell_spans if span.name == "cell"]
+    scheme, benchmark = cell.args["scheme"], cell.args["benchmark"]
+    cached = cell.args.get("cached", False)
+    telemetry = CellTelemetry(
+        scheme,
+        benchmark,
+        cell.seconds,
+        "unavailable" if result is None else "cache" if cached else "simulated",
+        phases=cell_phase_totals(cell_spans)[(scheme, benchmark)],
+        backend=cell.args.get("backend", ""),
+        rss_peak=cell.args.get("peak_rss_bytes", 0),
     )
-    _pulse(heartbeats, "start", label, case_name)
-    test_trace = _load_spooled(test_path)
-    training_trace = _load_spooled(training_path) if training_path else None
-    loaded = time.perf_counter()
-    phases = {"trace_load": loaded - started}
-    if recorder is not None:
-        recorder.record("trace_load", cat="phase", start=started, end=loaded)
-    try:
-        predictor = builder(training_trace)
-    except TrainingUnavailable:
-        built = time.perf_counter()
-        phases["build"] = built - loaded
-        if recorder is not None:
-            recorder.record("build", cat="phase", start=loaded, end=built)
-        wall = built - started
-        rss = _finish_cell(recorder, cell_id, built, "", heartbeats, own_recorder)
-        _pulse(heartbeats, "done", label, case_name, 0, wall, rss)
-        return label, case_name, None, wall, phases, "", rss
-    built = time.perf_counter()
-    phases["build"] = built - loaded
-    if recorder is not None:
-        recorder.record("build", cat="phase", start=loaded, end=built)
-    sim_id = (
-        recorder.push("simulate", cat="phase", start=built)
-        if recorder is not None
-        else 0
+    beat = Heartbeat(
+        worker=0 if cached else cell.pid,
+        kind="cached" if cached else "done",
+        scheme=scheme,
+        benchmark=benchmark,
+        branches=cell.args.get("branches", 0),
+        wall=telemetry.wall_time,
+        rss_bytes=telemetry.rss_peak,
     )
-    result, used_backend = simulate_with_backend(
-        predictor,
-        test_trace,
-        context_switches=context_switches,
-        backend=backend,
-    )
-    sim_end = time.perf_counter()
-    phases["simulate"] = sim_end - built
-    if recorder is not None:
-        recorder.pop_through(sim_id, end=sim_end)
-    wall = sim_end - started
-    rss = _finish_cell(recorder, cell_id, sim_end, used_backend, heartbeats, own_recorder)
-    _pulse(heartbeats, "done", label, case_name, result.conditional_branches, wall, rss)
-    return label, case_name, result, wall, phases, used_backend, rss
+    return telemetry, beat
 
 
 # ----------------------------------------------------------------------
-# Parent side
+# The sweep
 # ----------------------------------------------------------------------
 
 
@@ -434,67 +373,40 @@ def execute_matrix(
         result_cache: on-disk cell cache; ``None`` disables caching.
         progress: live-monitoring hook; receives one
             :class:`repro.obs.live.Heartbeat` per cell event (start /
-            done / cached). When workers are involved the beats travel
-            over a ``multiprocessing`` manager queue and are delivered
-            from the parent process, so the hook needs no locking.
-            ``None`` (the default) adds zero overhead — no manager, no
-            queue, no wait timeouts.
+            done / cached), always from the parent process, so the hook
+            needs no locking. Workers' ``start`` pulses travel over a
+            ``multiprocessing`` manager queue; ``done`` and ``cached``
+            beats are views over each cell's spans. ``None`` (the
+            default) adds zero overhead — no manager, no queue, no wait
+            timeouts.
         tick: called roughly every ``progress_interval`` seconds while
             remote cells are in flight (and after every local cell), so
             a ``--follow`` renderer can refresh ETA/staleness even when
             no heartbeat arrived.
         progress_interval: polling period for ``tick`` draining.
-        tracer: optional :class:`repro.obs.spans.SpanCollector`. When
-            given, the sweep is span-traced: the parent records a
-            ``"sweep"`` root span with one ``"cell"`` child per cell
-            (phase children built from the same clock readings as the
-            telemetry, so span totals equal phase times exactly),
-            worker processes record their cells locally and ship the
-            completed spans back on the heartbeat queue, and everything
-            lands in the collector. A worker that crashes simply never
-            ships — its spans are lost, the sweep trace stays valid.
+        tracer: optional :class:`repro.obs.spans.SpanCollector` that
+            receives the sweep's spans: a ``"sweep"`` root and each
+            cell's subtree (``cell`` → phases → engine spans), which
+            returns with the cell's result from whichever process ran
+            it. ``None`` drops them once the cell's telemetry is read.
 
     Returns:
         A :class:`ResultMatrix` with telemetry attached.
 
-    Heartbeats and spans are telemetry only: results, ordering and
-    cache contents are bit-identical with or without a ``progress``
-    hook or a ``tracer``.
+    Every cell is recorded as spans, whether or not a ``tracer`` is
+    given: the telemetry and heartbeats are views over them. The sweep
+    records on recorders of its own, enabled only while it runs; on
+    exit, normal or by exception, the caller's recorder (if any) is
+    current again and untouched. Heartbeats and spans are telemetry
+    only: results, ordering and cache contents are bit-identical with
+    or without a ``progress`` hook or a ``tracer``.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    parent_recorder = None
-    own_recorder = False
-    sweep_id = 0
-    if tracer is not None:
-        from ..obs import spans as spans_mod
-
-        parent_recorder = spans_mod.get_recorder()
-        if parent_recorder is None:
-            parent_recorder = spans_mod.enable(spans_mod.SpanRecorder())
-            own_recorder = True
-    emit: Optional[Callable[..., None]] = None
-    if progress is not None:
-        # Deferred import: repro.obs imports repro.sim.results, so a
-        # module-level import here would cycle during package init.
-        from ..obs.live import Heartbeat
-
-        def emit(pid: int, kind: str, label: str, case_name: str,
-                 branches: int = 0, wall: float = 0.0, rss: int = 0) -> None:
-            progress(
-                Heartbeat(
-                    worker=pid,
-                    kind=kind,
-                    scheme=label,
-                    benchmark=case_name,
-                    branches=branches,
-                    wall=wall,
-                    rss_bytes=rss,
-                )
-            )
-
-    # Deferred import: keeps package init acyclic; a no-op unless the
-    # caller enabled structured logging.
+    # Deferred imports: repro.obs imports repro.sim.results, so
+    # module-level imports here would cycle during package init.
+    from ..obs import spans
+    from ..obs.live import Heartbeat
     from ..obs.log import get_logger
 
     logger = get_logger("sim.parallel")
@@ -506,297 +418,154 @@ def execute_matrix(
         cached=result_cache is not None,
         backend=backend,
     )
-    started = time.perf_counter()
-    if parent_recorder is not None:
-        sweep_id = parent_recorder.push(
-            "sweep",
-            cat="sweep",
-            start=started,
-            schemes=len(builders),
-            benchmarks=len(cases),
-            workers=n_workers,
-        )
     telemetry = RunTelemetry(n_workers=n_workers)
     matrix = ResultMatrix(
         benchmarks=[case.name for case in cases],
         categories={case.name: case.category for case in cases},
         telemetry=telemetry,
     )
+    # (label, case.name) -> (result, the cell's telemetry view)
+    outcomes: Dict[Tuple[str, str], Tuple[Optional[SimulationResult], CellTelemetry]] = {}
 
-    # Digest each case's traces once (only needed for cache keys).
-    digests: Dict[str, Tuple[str, Optional[str]]] = {}
-    if result_cache is not None:
-        for case in cases:
-            digests[case.name] = (
-                trace_digest(case.test_trace),
-                trace_digest(case.training_trace) if case.training_trace else None,
-            )
-
-    # Phase 1: resolve what we can from the cache, in cell order.
-    # outcomes: (label, case.name) ->
-    #     (result, source, wall_time, phases, backend, rss_peak)
-    outcomes: Dict[
-        Tuple[str, str],
-        Tuple[Optional[SimulationResult], str, float, Dict[str, float], str, int],
-    ] = {}
-    pending: List[Tuple[str, "BenchmarkCase", Optional[str]]] = []
-    for label, builder in builders.items():
-        builder_key = getattr(builder, "cache_key", None)
-        for case in cases:
-            if result_cache is None or builder_key is None:
-                if result_cache is not None:
-                    telemetry.uncacheable += 1
-                pending.append((label, case, None))
-                continue
-            test_digest, training_digest = digests[case.name]
-            key = result_cache_key(
-                test_digest,
-                builder_key,
-                context_switches,
-                training_digest if getattr(builder, "requires_training", True) else None,
-            )
-            lookup_started = time.perf_counter()
-            hit, payload = result_cache.load(key)
-            if hit:
-                result = SimulationResult.from_dict(payload) if payload is not None else None
-                lookup_end = time.perf_counter()
-                lookup_wall = lookup_end - lookup_started
-                # backend="cache": cache hits never ran an engine, and
-                # backends are excluded from cache keys, so reporting
-                # any engine backend here would attribute the *cached*
-                # run's backend to a near-zero lookup wall time and
-                # pollute regress()'s per-backend throughput medians.
-                outcomes[(label, case.name)] = (
-                    result,
-                    "cache" if result is not None else "unavailable",
-                    lookup_wall,
-                    {"cache_lookup": lookup_wall},
-                    "cache" if result is not None else "",
-                    0,
-                )
-                if parent_recorder is not None:
-                    cell_id = parent_recorder.push(
-                        "cell",
-                        cat="sweep",
-                        start=lookup_started,
-                        scheme=label,
-                        benchmark=case.name,
-                        cached=True,
-                    )
-                    parent_recorder.record(
-                        "cache_lookup",
-                        cat="phase",
-                        start=lookup_started,
-                        end=lookup_end,
-                    )
-                    parent_recorder.pop_through(cell_id, end=lookup_end)
-                if emit is not None:
-                    emit(0, "cached", label, case.name, 0, lookup_wall)
-            else:
-                telemetry.cache_misses += 1
-                pending.append((label, case, key))
-
-    # Phase 2: compute the remaining cells — in worker processes when
-    # asked and possible, in-process otherwise.
-    def _run_local(label: str, case, key: Optional[str]) -> None:
-        from ..obs.resources import read_resources
-
-        cell_started = time.perf_counter()
-        cell_id = (
-            parent_recorder.push(
-                "cell", cat="sweep", start=cell_started, scheme=label,
-                benchmark=case.name,
-            )
-            if parent_recorder is not None
-            else 0
-        )
-        if emit is not None:
-            emit(os.getpid(), "start", label, case.name)
-        try:
-            predictor = builder_by_label[label](case.training_trace)
-        except TrainingUnavailable:
-            predictor = None
-        built = time.perf_counter()
-        phases = {"build": built - cell_started}
-        if parent_recorder is not None:
-            parent_recorder.record("build", cat="phase", start=cell_started, end=built)
-        result: Optional[SimulationResult] = None
-        used_backend = ""
-        cell_end = built
-        if predictor is not None:
-            sim_id = (
-                parent_recorder.push("simulate", cat="phase", start=built)
-                if parent_recorder is not None
-                else 0
-            )
-            result, used_backend = simulate_with_backend(
-                predictor,
-                case.test_trace,
-                context_switches=context_switches,
-                backend=backend,
-            )
-            cell_end = time.perf_counter()
-            phases["simulate"] = cell_end - built
-            if parent_recorder is not None:
-                parent_recorder.pop_through(sim_id, end=cell_end)
-        wall = cell_end - cell_started
-        sample = read_resources()
-        if parent_recorder is not None:
-            parent_recorder.pop_through(
-                cell_id, end=cell_end, backend=used_backend, **sample.as_args()
-            )
-        outcomes[(label, case.name)] = (
-            result,
-            "simulated" if result is not None else "unavailable",
-            wall,
-            phases,
-            used_backend,
-            sample.peak_rss_bytes,
-        )
+    def finish(key: Optional[str], result: Optional[SimulationResult], cell_spans) -> None:
+        cell, beat = _cell_views(cell_spans, result)
+        outcomes[(cell.scheme, cell.benchmark)] = (result, cell)
         if key is not None and result_cache is not None:
             result_cache.store(key, result.to_dict() if result is not None else None)
-        if emit is not None:
-            emit(
-                os.getpid(),
-                "done",
-                label,
-                case.name,
-                result.conditional_branches if result is not None else 0,
-                wall,
-                sample.peak_rss_bytes,
-            )
+        if tracer is not None:
+            tracer.ingest(cell_spans)
+        if progress is not None:
+            progress(beat)
+
+    def run_here(label: str, case, key: Optional[str]) -> None:
+        if progress is not None:
+            progress(Heartbeat(worker=os.getpid(), kind="start", scheme=label,
+                               benchmark=case.name))
+        finish(key, *_run_cell(label, case.name, builders[label], case.test_trace,
+                               case.training_trace, context_switches, backend))
         if tick is not None:
             tick()
 
-    builder_by_label = dict(builders)
-    if n_workers == 1 or not pending:
-        for label, case, key in pending:
-            _run_local(label, case, key)
-    else:
-        remote = [cell for cell in pending if _is_picklable(builder_by_label[cell[0]])]
-        local = [cell for cell in pending if not _is_picklable(builder_by_label[cell[0]])]
-        spool = Path(tempfile.mkdtemp(prefix="repro-spool-"))
-        manager = None
-        heartbeat_queue = None
-        if (emit is not None or tracer is not None) and remote:
-            # A manager queue (not a raw mp.Queue) because the executor
-            # pickles task arguments; manager proxies survive that.
-            # Spans ride the same queue as heartbeats, so tracing alone
-            # also needs it.
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            heartbeat_queue = manager.Queue()
-
-        def _drain_heartbeats() -> None:
-            if heartbeat_queue is None:
-                return
-            while True:
-                try:
-                    message = heartbeat_queue.get_nowait()
-                except queue_module.Empty:
-                    break
-                except Exception:
-                    break
-                if message and message[0] == "spans":
-                    # A worker's shipped span batch: ("spans", pid, wire).
-                    if tracer is not None:
-                        tracer.ingest_wire(message[2])
-                    continue
-                if emit is not None:
-                    pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss = message
-                    emit(pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss)
-
-        try:
-            trace_paths = _spool_traces({case.name: case for _, case, _ in remote}, spool)
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = {}
-                for label, case, key in remote:
-                    test_path, training_path = trace_paths[case.name]
-                    future = pool.submit(
-                        _run_cell,
-                        label,
-                        case.name,
-                        builder_by_label[label],
-                        test_path,
-                        training_path,
-                        context_switches,
-                        backend,
-                        heartbeat_queue,
-                        tracer is not None,
-                    )
-                    futures[future] = key
-                # Overlap the unpicklable (parent-process) cells with
-                # the pool instead of serializing them afterwards.
-                for label, case, key in local:
-                    _run_local(label, case, key)
-                not_done = set(futures)
-                poll = (
-                    progress_interval
-                    if heartbeat_queue is not None or tick is not None
-                    else None
+    with spans.recording() as recorder, spans.span(
+        "sweep", cat="sweep", schemes=len(builders), benchmarks=len(cases),
+        workers=n_workers,
+    ) as sweep:
+        # Digest each case's traces once (only needed for cache keys).
+        digests: Dict[str, Tuple[str, Optional[str]]] = {}
+        if result_cache is not None:
+            for case in cases:
+                digests[case.name] = (
+                    trace_digest(case.test_trace),
+                    trace_digest(case.training_trace) if case.training_trace else None,
                 )
-                while not_done:
-                    done, not_done = wait(
-                        not_done, timeout=poll, return_when=FIRST_COMPLETED
-                    )
-                    _drain_heartbeats()
-                    if tick is not None:
-                        tick()
-                    for future in done:
-                        label, case_name, result, wall, phases, used_backend, rss = (
-                            future.result()
-                        )
-                        outcomes[(label, case_name)] = (
-                            result,
-                            "simulated" if result is not None else "unavailable",
-                            wall,
-                            phases,
-                            used_backend,
-                            rss,
-                        )
-                        key = futures[future]
-                        if key is not None and result_cache is not None:
-                            result_cache.store(
-                                key, result.to_dict() if result is not None else None
-                            )
-            _drain_heartbeats()
-            if tick is not None:
-                tick()
-        finally:
-            shutil.rmtree(spool, ignore_errors=True)
-            if manager is not None:
-                manager.shutdown()
 
-    # Phase 3: assemble in the canonical (scheme-major) order, so the
-    # matrix layout is independent of completion order.
-    for label in builders:
-        for case in cases:
-            result, source, wall, phases, used_backend, rss = outcomes[
-                (label, case.name)
-            ]
-            telemetry.record(
-                label,
-                case.name,
-                wall,
-                source,
-                phases=phases,
-                backend=used_backend,
-                rss_peak=rss,
-            )
-            if result is not None:
-                matrix.add(label, result)
-    finished = time.perf_counter()
-    telemetry.wall_time = finished - started
-    if parent_recorder is not None:
-        parent_recorder.pop_through(
-            sweep_id, end=finished, cells=telemetry.total_cells
-        )
-        tracer.ingest(parent_recorder.drain())
-        if own_recorder:
-            from ..obs.spans import disable as _spans_disable
+        # Phase 1: resolve what we can from the cache, in cell order.
+        pending: List[Tuple[str, "BenchmarkCase", Optional[str]]] = []
+        for label, builder in builders.items():
+            builder_key = getattr(builder, "cache_key", None)
+            for case in cases:
+                if result_cache is None or builder_key is None:
+                    if result_cache is not None:
+                        telemetry.uncacheable += 1
+                    pending.append((label, case, None))
+                    continue
+                test_digest, training_digest = digests[case.name]
+                key = result_cache_key(
+                    test_digest,
+                    builder_key,
+                    context_switches,
+                    training_digest if getattr(builder, "requires_training", True) else None,
+                )
+                hit, result, cell_spans = _lookup_cell(result_cache, key, label, case.name)
+                if hit:
+                    finish(None, result, cell_spans)
+                else:
+                    telemetry.cache_misses += 1
+                    pending.append((label, case, key))
 
-            _spans_disable()
+        # Phase 2: compute the remaining cells — in worker processes when
+        # asked and possible, in-process otherwise.
+        pooled = {
+            label: n_workers > 1 and _is_picklable(builder)
+            for label, builder in builders.items()
+        }
+        remote = [cell for cell in pending if pooled[cell[0]]]
+        local = [cell for cell in pending if not pooled[cell[0]]]
+        if not remote:
+            for cell in local:
+                run_here(*cell)
+        else:
+            spool = Path(tempfile.mkdtemp(prefix="repro-spool-"))
+            manager = None
+            heartbeats = None
+            if progress is not None:
+                # A manager queue (not a raw mp.Queue) because the executor
+                # pickles task arguments; manager proxies survive that.
+                import multiprocessing
+
+                manager = multiprocessing.Manager()
+                heartbeats = manager.Queue()
+
+            def drain() -> None:
+                if heartbeats is None:
+                    return
+                while True:
+                    try:
+                        message = heartbeats.get_nowait()
+                    except Exception:  # queue.Empty, or the manager is gone
+                        return
+                    progress(Heartbeat(*message))
+
+            try:
+                trace_paths = _spool_traces({case.name: case for _, case, _ in remote}, spool)
+                with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                    futures = {
+                        pool.submit(
+                            _run_cell,
+                            label,
+                            case.name,
+                            builders[label],
+                            *trace_paths[case.name],
+                            context_switches,
+                            backend,
+                            heartbeats,
+                        ): key
+                        for label, case, key in remote
+                    }
+                    for cell in local:
+                        run_here(*cell)
+                    not_done = set(futures)
+                    poll = progress_interval if progress is not None or tick is not None else None
+                    while not_done:
+                        done, not_done = wait(not_done, timeout=poll, return_when=FIRST_COMPLETED)
+                        # Start pulses first: a cell's start is queued before
+                        # its result can arrive, so its done beat follows it.
+                        drain()
+                        if tick is not None:
+                            tick()
+                        for future in done:
+                            finish(futures[future], *future.result())
+                drain()
+                if tick is not None:
+                    tick()
+            finally:
+                shutil.rmtree(spool, ignore_errors=True)
+                if manager is not None:
+                    manager.shutdown()
+
+        # Phase 3: assemble in the canonical (scheme-major) order, so the
+        # matrix layout is independent of completion order.
+        for label in builders:
+            for case in cases:
+                result, cell = outcomes[(label, case.name)]
+                telemetry.add(cell)
+                if result is not None:
+                    matrix.add(label, result)
+        sweep["cells"] = telemetry.total_cells
+    sweep_spans = recorder.spans
+    telemetry.wall_time = sweep_spans[-1].seconds
+    if tracer is not None:
+        tracer.ingest(sweep_spans)
     logger.event(
         "matrix_done",
         cells=telemetry.total_cells,

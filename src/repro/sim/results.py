@@ -157,14 +157,16 @@ class CellTelemetry:
         scheme: scheme label (row of the matrix).
         benchmark: benchmark name (column of the matrix).
         wall_time: seconds spent producing this cell (simulation time in
-            the worker, or lookup time for a cache hit).
+            the worker, or lookup time for a cache hit) — the duration
+            of the cell's ``cell`` span.
         source: ``"simulated"`` (ran :func:`~repro.sim.engine.simulate`),
             ``"cache"`` (served from the on-disk result cache), or
             ``"unavailable"`` (builder raised ``TrainingUnavailable`` —
             the cell stays blank, as in the paper's Figure 11).
         phases: per-phase breakdown of ``wall_time`` in seconds, keyed
             by phase name (``"trace_load"``, ``"build"``, ``"simulate"``,
-            ``"cache_lookup"``). Empty for records produced before the
+            ``"cache_lookup"``): the per-name totals of the ``cell``
+            span's children. Empty for records produced before the
             phase spans existed (e.g. deserialised old telemetry). The
             ``"simulate"`` span always carries that name regardless of
             engine backend, so throughput comparisons across backends
@@ -260,25 +262,28 @@ class RunTelemetry:
         rss_peak: int = 0,
     ) -> None:
         """Append one cell record and bump the matching counter."""
-        cell_phases = dict(phases) if phases else {}
-        self.cells.append(
+        self.add(
             CellTelemetry(
                 scheme,
                 benchmark,
                 wall_time,
                 source,
-                phases=cell_phases,
+                phases=dict(phases) if phases else {},
                 backend=backend,
                 rss_peak=rss_peak,
             )
         )
-        for phase, seconds in cell_phases.items():
+
+    def add(self, cell: CellTelemetry) -> None:
+        """Append a built cell record and bump the matching counter."""
+        self.cells.append(cell)
+        for phase, seconds in cell.phases.items():
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
-        if source == "simulated":
+        if cell.source == "simulated":
             self.simulations += 1
-        elif source == "cache":
+        elif cell.source == "cache":
             self.cache_hits += 1
-        elif source == "unavailable":
+        elif cell.source == "unavailable":
             self.unavailable += 1
 
     def merged_with(self, other: Optional["RunTelemetry"]) -> "RunTelemetry":

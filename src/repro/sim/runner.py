@@ -152,11 +152,10 @@ def run_matrix(
             silently falls back otherwise; results are bit-identical
             either way, so the cache is shared across backends.
         tracer: optional :class:`repro.obs.spans.SpanCollector`; when
-            given the whole sweep is span-traced (sweep → cell → phase
-            → block hierarchy, worker spans shipped back through the
-            heartbeat queue — see
-            :func:`repro.sim.parallel.execute_matrix`). Telemetry only,
-            never affects results.
+            given it receives the sweep's spans (sweep → cell → phase
+            → engine hierarchy; worker cells' spans return with their
+            results — see :func:`repro.sim.parallel.execute_matrix`).
+            Telemetry only, never affects results.
 
     Returns:
         A :class:`ResultMatrix` with one cell per (scheme, benchmark)

@@ -908,23 +908,14 @@ def open_trace_source(path: PathLike, missing_meta: str = "warn") -> Union[Trace
     """
     # Deferred obs import: trace is a foundation package and must not
     # import obs at module scope.
-    from ..obs.spans import get_recorder as _get_span_recorder
+    from ..obs.spans import span
 
-    recorder = _get_span_recorder()
     path = Path(path)
     streamed = path.suffix == ".btrs" or _sniff_stream_magic(path)
-    span_id = (
-        recorder.push("open_trace", cat="trace", file=path.name, streamed=streamed)
-        if recorder is not None
-        else 0
-    )
-    try:
+    with span("open_trace", cat="trace", file=path.name, streamed=streamed):
         if streamed:
             return open_stream(path)
         return load_trace(path, missing_meta=missing_meta)
-    finally:
-        if recorder is not None:
-            recorder.pop_through(span_id)
 
 
 def _sniff_stream_magic(path: Path) -> bool:

@@ -21,7 +21,7 @@ from repro.obs import (
     TopOffendersProbe,
     WarmupCurveProbe,
 )
-from repro.obs.profile import PhaseTimer, TimingPredictor
+from repro.obs.profile import TimingPredictor
 from repro.sim.engine import ContextSwitchConfig, simulate
 from repro.trace.events import TraceBuilder
 from repro.trace.synthetic import loop_trace, markov_trace
@@ -84,7 +84,7 @@ class TestEquivalence:
         trace = _mixed_trace(branches=800)
         bare = simulate(make_pag(8), trace, context_switches=ContextSwitchConfig(2000))
         timed = simulate(
-            TimingPredictor(make_pag(8), PhaseTimer()),
+            TimingPredictor(make_pag(8)),
             trace,
             context_switches=ContextSwitchConfig(2000),
             probe=_full_probe_set(),

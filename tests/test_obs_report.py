@@ -6,9 +6,7 @@ import pytest
 
 from repro.obs import (
     SCHEMA,
-    PhaseTimer,
     RunReport,
-    SpanStats,
     TimingPredictor,
     format_report,
     observe,
@@ -124,36 +122,20 @@ class TestFormatReport:
             write_report(report, tmp_path / "r.x", fmt="yaml")
 
 
-class TestPhaseTimer:
-    def test_span_accumulates(self):
-        timer = PhaseTimer()
-        with timer.span("work"):
-            pass
-        with timer.span("work"):
-            pass
-        assert timer.spans["work"].calls == 2
-        assert timer.seconds("work") >= 0.0
-        assert timer.seconds("absent") == 0.0
-        assert list(timer.as_dict()) == ["work"]
-
-    def test_span_stats_round_trip(self):
-        stats = SpanStats(seconds=1.5, calls=3)
-        assert SpanStats.from_dict(stats.to_dict()) == stats
-
-
 class TestTimingPredictor:
     def test_delegates_and_times(self):
         from repro.core.twolevel import make_pag
 
-        timer = PhaseTimer()
         inner = make_pag(6)
-        proxy = TimingPredictor(inner, timer)
+        proxy = TimingPredictor(inner)
         assert proxy.name == inner.name
+        assert proxy.totals == {}
         prediction = proxy.predict(0x40, 0)
         proxy.update(0x40, True, 0)
         assert prediction in (True, False)
-        assert timer.spans["predict"].calls == 1
-        assert timer.spans["update"].calls == 1
+        assert proxy.totals["predict"]["calls"] == 1
+        assert proxy.totals["update"]["calls"] == 1
+        assert proxy.totals["predict"]["seconds"] >= 0.0
         # Attribute probes see through the proxy to the real tables.
         assert proxy.pht is inner.pht
         assert proxy.bht is inner.bht

@@ -7,18 +7,23 @@ The guarantees under test:
 * tree integrity: parent/child nesting and containment, monotone
   timestamps across the fork boundary, duplicate detection;
 * loss tolerance: a missing (crashed-worker) batch orphans spans into
-  roots without corrupting the sweep trace, malformed wire batches are
-  dropped whole;
+  roots without corrupting the sweep trace;
 * exactness: Chrome trace-event JSON round-trips spans bit-for-bit,
   and per-cell span totals equal the telemetry phase times;
 * the sweep integration: serial and parallel traced sweeps produce
-  valid trees whose spans agree with ``CellTelemetry``.
+  valid trees whose spans agree with ``CellTelemetry`` — which, like
+  the ``done`` heartbeats, is a view over each cell's spans;
+* recorder ownership: a sweep records on recorders of its own, leaves
+  the caller's recorder current and untouched, and leaks nothing when a
+  cell raises.
 """
 
 import json
 
 import pytest
 
+from repro.core.automata import A2
+from repro.core.twolevel import GAgPredictor
 from repro.obs.export import load_spans, write_chrome_trace, write_spans
 from repro.obs.spans import (
     Span,
@@ -29,20 +34,20 @@ from repro.obs.spans import (
     cell_span_summaries,
     disable,
     enable,
-    from_wire,
     get_recorder,
     recording,
     span_totals,
     spans_from_chrome,
     summarize_spans,
     to_chrome_trace,
-    to_wire,
     validate_chrome_trace,
     validate_span_tree,
 )
+from repro.sim.kernels import KernelUnavailable
 from repro.sim.parallel import spec
 from repro.sim.runner import BenchmarkCase, run_matrix
 from repro.trace import synthetic
+from repro.trace.cache import ResultCache
 
 
 class FakeClock:
@@ -64,13 +69,20 @@ def _recorder(**kwargs):
     return SpanRecorder(**kwargs)
 
 
-def _sweep_fixture(n_workers=1, tracer=None):
-    cases = [
+def _cases():
+    return [
         BenchmarkCase("loopA", "int", synthetic.loop_trace(300, 7, name="loopA")),
         BenchmarkCase("loopB", "fp", synthetic.loop_trace(260, 5, name="loopB")),
     ]
+
+
+def _sweep_fixture(n_workers=1, tracer=None, **kwargs):
     builders = {"GAg-6": spec("gag-6"), "GAg-8": spec("gag-8")}
-    return run_matrix(builders, cases, n_workers=n_workers, tracer=tracer)
+    return run_matrix(builders, _cases(), n_workers=n_workers, tracer=tracer, **kwargs)
+
+
+class _SubclassedGAg(GAgPredictor):
+    """Kernel dispatch is on the exact type, so no kernel covers this."""
 
 
 class TestSpanRecorder:
@@ -189,24 +201,6 @@ class TestActiveRecorder:
         assert get_recorder() is None
 
 
-class TestWireProtocol:
-    def test_round_trip(self):
-        recorder = _recorder()
-        with recorder.span("cell", cat="sweep", scheme="GAg"):
-            recorder.record("build", cat="phase", start=100.0, end=100.1)
-        spans = recorder.spans
-        assert from_wire(to_wire(spans)) == spans
-
-    def test_collector_drops_malformed_batch_whole(self):
-        collector = SpanCollector()
-        good = _recorder()
-        good.record("ok", start=0.0, end=1.0)
-        collector.ingest_wire(to_wire(good.spans))
-        collector.ingest_wire([("torn",)])  # malformed: dropped whole
-        assert len(collector) == 1
-        assert collector.batches == 1
-
-
 class TestTreeIntegrity:
     def test_missing_parent_becomes_root(self):
         # A child whose parent batch was lost with a crashed worker.
@@ -239,7 +233,7 @@ class TestTreeIntegrity:
 
     def test_queue_loss_tolerance_partial_sweep(self):
         # Parent sweep span + one worker's cell batch; the other
-        # worker "crashed" and never shipped. The trace stays valid.
+        # worker "crashed" and never returned. The trace stays valid.
         parent = _recorder(pid=1)
         sweep = parent.push("sweep", start=0.0)
         parent.pop_through(sweep, end=10.0)
@@ -248,9 +242,16 @@ class TestTreeIntegrity:
             pass
         collector = SpanCollector()
         collector.ingest(parent.drain())
-        collector.ingest_wire(to_wire(worker.drain()))
+        collector.ingest(worker.drain())
         assert not validate_span_tree(collector.spans)
         assert len(collector.spans) == 2
+        # A span whose parent was lost with its batch is a root.
+        orphan = Span(name="simulate", cat="phase", ts=1.5e6, dur=10.0,
+                      pid=3, tid=1, span_id=5, parent_id=4)
+        collector.ingest([orphan])
+        roots, _children = build_span_tree(collector.spans)
+        assert orphan in roots
+        assert not validate_span_tree(collector.spans)
 
 
 class TestAggregation:
@@ -383,3 +384,79 @@ class TestSweepIntegration:
             assert cell.rss_peak > 0
             restored = type(cell).from_dict(cell.as_dict())
             assert restored.rss_peak == cell.rss_peak
+
+
+class TestTelemetryIsASpanView:
+    """``CellTelemetry`` and the ``done`` heartbeats are read off each
+    cell's spans, so they equal the span-derived values exactly."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_telemetry_and_heartbeats_equal_cell_spans(self, n_workers, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_matrix({"GAg-6": spec("gag-6")}, _cases(), result_cache=cache)  # warm half
+        collector = SpanCollector()
+        beats = []
+        matrix = _sweep_fixture(
+            n_workers=n_workers, tracer=collector, result_cache=cache,
+            progress=beats.append,
+        )
+        _roots, children = build_span_tree(collector.spans)
+        cell_spans = {
+            (span.args["scheme"], span.args["benchmark"]): span
+            for span in collector.spans
+            if span.name == "cell"
+        }
+        records = {(c.scheme, c.benchmark): c for c in matrix.telemetry.cells}
+        assert set(cell_spans) == set(records)
+        assert {record.source for record in records.values()} == {"cache", "simulated"}
+        for key, span in cell_spans.items():
+            phases = {}
+            for child in children.get(span.key, ()):
+                phases[child.name] = phases.get(child.name, 0.0) + child.seconds
+            record = records[key]
+            assert record.wall_time == span.seconds
+            assert record.phases == phases
+            assert record.backend == span.args.get("backend", "")
+            assert record.rss_peak == span.args.get("peak_rss_bytes", 0)
+        done = [beat for beat in beats if beat.kind == "done"]
+        assert len(done) == matrix.telemetry.simulations == 2
+        for beat in done:
+            span = cell_spans[(beat.scheme, beat.benchmark)]
+            assert beat.worker == span.pid
+            assert beat.wall == span.seconds
+            assert beat.branches == span.args["branches"] > 0
+            assert beat.rss_bytes == span.args["peak_rss_bytes"] > 0
+        cached = [beat for beat in beats if beat.kind == "cached"]
+        assert len(cached) == matrix.telemetry.cache_hits == 2
+        for beat in cached:
+            assert beat.wall == cell_spans[(beat.scheme, beat.benchmark)].seconds
+
+
+class TestRecorderOwnership:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_raising_traced_sweep_leaves_no_recorder(self, n_workers):
+        builders = {"sub": lambda training: _SubclassedGAg(6, A2)}
+        with pytest.raises(KernelUnavailable):
+            run_matrix(builders, _cases(), n_workers=n_workers, backend="vectorized",
+                       tracer=SpanCollector())
+        assert get_recorder() is None
+
+    def test_sweeps_leave_the_callers_recorder_alone(self):
+        with recording() as caller:
+            with caller.span("earlier"):
+                pass
+            before = caller.spans
+            collector = SpanCollector()
+            _sweep_fixture(n_workers=1, tracer=collector)
+            assert caller.spans == before
+            assert get_recorder() is caller
+            (sweep,) = [span for span in collector.spans if span.name == "sweep"]
+            assert not {span.key for span in before} & {span.key for span in collector.spans}
+            roots, _children = build_span_tree(collector.spans)
+            assert sorted(root.name for root in roots) == ["cell"] * 4 + ["sweep"]
+            for span in collector.spans:
+                assert sweep.ts <= span.ts and span.end <= sweep.end
+            _sweep_fixture(n_workers=1, tracer=None)
+            assert caller.spans == before
+            assert get_recorder() is caller
+        assert get_recorder() is None
